@@ -9,27 +9,61 @@
 //!   L-Wires).
 //!
 //! Run `cargo run -p heterowire-bench --bin ablation -- <which>`; with no
-//! study name, all five run. `--model <token>` (a preset or
+//! study name, all five run, and any other name exits 2. `--model <token>` (a preset or
 //! `custom:<spec>`) swaps the default Model VII study machine;
 //! `--topology <token>` (a preset, compact spec or spec file) swaps the
 //! default 4-cluster crossbar; `--csv` / `--json` write every printed
 //! scalar as machine-readable [`MetricRow`] artifacts.
 
 use heterowire_bench::{
-    artifact_paths_from_args, emit_metric_artifacts, model_override_or, run_one, run_suite,
-    topology_override_or, MetricRow, RunScale, SEED,
+    completed, executor, format_metric_csv, format_metric_json, sweep, Args, Cell, Flag, Grammar,
+    MetricRow, SuiteResults, Value, CSV, JSON, SEED,
 };
-use heterowire_core::{Extensions, InterconnectModel, ModelSpec, Optimizations, ProcessorConfig};
-use heterowire_interconnect::Topology;
+use heterowire_core::{Extensions, InterconnectModel, Optimizations, ProcessorConfig, SimResults};
 use heterowire_trace::{by_name, spec2000, TraceGenerator};
 
-fn ls_bits(scale: RunScale, study: &ModelSpec, topology: Topology, out: &mut Vec<MetricRow>) {
+const GRAMMAR: Grammar = Grammar {
+    name: "ablation",
+    about: "design-choice ablations of the study model; no study name runs all five",
+    flags: &[
+        Flag::one("--model", Value::Model, &["VII"]),
+        Flag::one("--topology", Value::Topology, &["crossbar4"]),
+        CSV,
+        JSON,
+    ],
+    positional: &["ls-bits", "balance", "narrow", "opts", "ext"],
+};
+
+/// The study machine: the `--model` on the `--topology`.
+fn study(args: &Args) -> ProcessorConfig {
+    ProcessorConfig::for_model_spec(args.model(), args.topology().topology())
+}
+
+/// The paper-policy suite of every configuration, swept at once.
+fn suites(args: &Args, configs: impl Iterator<Item = ProcessorConfig>) -> Vec<SuiteResults> {
+    let cells: Vec<Cell> = configs.map(Cell::new).collect();
+    completed(sweep(&cells, args.scale, executor::default_workers()))
+}
+
+/// One configuration's runs over a named benchmark subset, in order.
+fn subset(args: &Args, cfg: ProcessorConfig, benches: &[&str]) -> Vec<SimResults> {
+    let cell = Cell::new(cfg);
+    completed(
+        benches
+            .iter()
+            .map(|b| cell.run(by_name(b).expect("known benchmark"), args.scale)),
+    )
+}
+
+fn ls_bits(args: &Args, out: &mut Vec<MetricRow>) {
     println!("\n== LS-bit sweep: false partial-address dependences ==");
     println!("{:>8} {:>12} {:>10}", "LS bits", "false deps", "AM IPC");
-    for bits in [4, 6, 8, 12, 16] {
-        let mut cfg = ProcessorConfig::for_model_spec(study, topology);
-        cfg.ls_bits = bits;
-        let suite = run_suite(&cfg, scale);
+    let bits = [4, 6, 8, 12, 16];
+    let configs = bits.iter().map(|&ls_bits| ProcessorConfig {
+        ls_bits,
+        ..study(args)
+    });
+    for (bits, suite) in bits.iter().zip(suites(args, configs)) {
         let (fd, loads) = suite.runs.iter().fold((0, 0), |(fd, ld), r| {
             (fd + r.lsq.false_dependences, ld + r.lsq.loads)
         });
@@ -47,14 +81,14 @@ fn ls_bits(scale: RunScale, study: &ModelSpec, topology: Topology, out: &mut Vec
     println!("(paper: <9% of loads at 8 LS bits)");
 }
 
-fn balance(scale: RunScale, study: &ModelSpec, topology: Topology, out: &mut Vec<MetricRow>) {
+fn balance(args: &Args, out: &mut Vec<MetricRow>) {
     // The balancer needs both full-width planes; fall back to Model V
     // (144 B + 288 PW) when the study model lacks one.
-    let link = study.link();
+    let link = args.model().link();
     let model = if link.lanes(heterowire_wires::WireClass::B) > 0
         && link.lanes(heterowire_wires::WireClass::Pw) > 0
     {
-        study.clone()
+        args.model().clone()
     } else {
         InterconnectModel::V.spec()
     };
@@ -71,16 +105,19 @@ fn balance(scale: RunScale, study: &ModelSpec, topology: Topology, out: &mut Vec
     // The balancer lives in the policy; window/threshold are fixed at the
     // paper's values in the public API, so this sweep exercises on/off and
     // the PW-steering criteria combinations instead.
-    for (pw, lb, label) in [
+    let variants = [
         (false, false, "off/off"),
         (true, false, "criteria only"),
         (false, true, "balance only"),
         (true, true, "paper (both)"),
-    ] {
-        let mut cfg = ProcessorConfig::for_model_spec(&model, topology);
+    ];
+    let configs = variants.iter().map(|&(pw, lb, _)| {
+        let mut cfg = ProcessorConfig::for_model_spec(&model, args.topology().topology());
         cfg.opts.pw_steering = pw;
         cfg.opts.load_balance = lb;
-        let suite = run_suite(&cfg, scale);
+        cfg
+    });
+    for ((_, _, label), suite) in variants.iter().zip(suites(args, configs)) {
         let (pw_t, total) = suite.runs.iter().fold((0u64, 0u64), |(p, t), r| {
             (p + r.net.transfers[1], t + r.net.total_transfers())
         });
@@ -96,7 +133,7 @@ fn balance(scale: RunScale, study: &ModelSpec, topology: Topology, out: &mut Vec
     }
 }
 
-fn narrow(_scale: RunScale, out: &mut Vec<MetricRow>) {
+fn narrow(_: &Args, out: &mut Vec<MetricRow>) {
     println!("\n== Narrow-operand availability (trace property) ==");
     println!("{:>10} {:>16}", "threshold", "narrow results");
     for bits in [8u32, 10, 12, 16] {
@@ -128,10 +165,10 @@ fn narrow(_scale: RunScale, out: &mut Vec<MetricRow>) {
 
 type OptVariant = (&'static str, fn(&mut Optimizations));
 
-fn opts(scale: RunScale, study: &ModelSpec, topology: Topology, out: &mut Vec<MetricRow>) {
+fn opts(args: &Args, out: &mut Vec<MetricRow>) {
     println!(
         "\n== Individual L-Wire optimization contributions ({}) ==",
-        study.label()
+        args.model().label()
     );
     let bench_set = ["gzip", "gcc", "twolf", "swim", "mcf", "applu"];
     let variants: [OptVariant; 5] = [
@@ -156,13 +193,9 @@ fn opts(scale: RunScale, study: &ModelSpec, topology: Topology, out: &mut Vec<Me
     ];
     println!("{:<24} {:>10}", "variant", "AM IPC");
     for (label, tweak) in variants {
-        let mut sum = 0.0;
-        for b in bench_set {
-            let mut cfg = ProcessorConfig::for_model_spec(study, topology);
-            tweak(&mut cfg.opts);
-            let r = run_one(cfg, by_name(b).expect("known benchmark"), scale);
-            sum += r.ipc();
-        }
+        let mut cfg = study(args);
+        tweak(&mut cfg.opts);
+        let sum: f64 = subset(args, cfg, &bench_set).iter().map(|r| r.ipc()).sum();
         let am = sum / bench_set.len() as f64;
         println!("{:<24} {:>10.3}", label, am);
         out.push(MetricRow::new("opts", label, "am_ipc", am));
@@ -170,10 +203,10 @@ fn opts(scale: RunScale, study: &ModelSpec, topology: Topology, out: &mut Vec<Me
     println!("(paper: the three optimizations contributed equally)");
 }
 
-fn extensions(scale: RunScale, study: &ModelSpec, topology: Topology, out: &mut Vec<MetricRow>) {
+fn extensions(args: &Args, out: &mut Vec<MetricRow>) {
     println!(
         "\n== Paper-discussed extensions ({}, 2x wire-constrained latency) ==",
-        study.label()
+        args.model().label()
     );
     let bench_set = ["gzip", "gcc", "mcf", "swim", "applu", "twolf"];
     let variants: [(&str, Extensions); 5] = [
@@ -211,16 +244,14 @@ fn extensions(scale: RunScale, study: &ModelSpec, topology: Topology, out: &mut 
     println!("{:<28} {:>8} {:>12}", "variant", "AM IPC", "IC dyn (rel)");
     let mut base_energy = 0.0;
     for (i, (label, ext)) in variants.iter().enumerate() {
-        let mut ipc = 0.0;
-        let mut energy = 0.0;
-        for b in bench_set {
-            let mut cfg = ProcessorConfig::for_model_spec(study, topology);
-            cfg.latency_scale = 2.0;
-            cfg.extensions = *ext;
-            let r = run_one(cfg, by_name(b).expect("known benchmark"), scale);
-            ipc += r.ipc();
-            energy += r.net.dynamic_energy;
-        }
+        let cfg = ProcessorConfig {
+            latency_scale: 2.0,
+            extensions: *ext,
+            ..study(args)
+        };
+        let runs = subset(args, cfg, &bench_set);
+        let ipc: f64 = runs.iter().map(|r| r.ipc()).sum();
+        let energy: f64 = runs.iter().map(|r| r.net.dynamic_energy).sum();
         if i == 0 {
             base_energy = energy;
         }
@@ -232,41 +263,25 @@ fn extensions(scale: RunScale, study: &ModelSpec, topology: Topology, out: &mut 
     }
 }
 
-/// The first positional (non-flag) argument: flag/value pairs are skipped.
-fn which_study(args: &[String]) -> String {
-    let flags = ["--model", "--topology", "--csv", "--json"];
-    let mut i = 1;
-    while i < args.len() {
-        if flags.contains(&args[i].as_str()) {
-            i += 2;
-        } else {
-            return args[i].clone();
-        }
-    }
-    String::new()
-}
+type Study = fn(&Args, &mut Vec<MetricRow>);
 
 fn main() {
-    let scale = RunScale::from_env();
-    let study = model_override_or("VII");
-    let topology = topology_override_or("crossbar4").topology();
-    let paths = artifact_paths_from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let which = which_study(&args);
+    let args = GRAMMAR.parse();
+    let studies: [(&str, Study); 5] = [
+        ("ls-bits", ls_bits),
+        ("balance", balance),
+        ("narrow", narrow),
+        ("opts", opts),
+        ("ext", extensions),
+    ];
     let mut metrics = Vec::new();
-    match which.as_str() {
-        "ls-bits" => ls_bits(scale, &study, topology, &mut metrics),
-        "balance" => balance(scale, &study, topology, &mut metrics),
-        "narrow" => narrow(scale, &mut metrics),
-        "opts" => opts(scale, &study, topology, &mut metrics),
-        "ext" => extensions(scale, &study, topology, &mut metrics),
-        _ => {
-            ls_bits(scale, &study, topology, &mut metrics);
-            balance(scale, &study, topology, &mut metrics);
-            narrow(scale, &mut metrics);
-            opts(scale, &study, topology, &mut metrics);
-            extensions(scale, &study, topology, &mut metrics);
+    for (name, run) in studies {
+        if args.positional.as_deref().is_none_or(|p| p == name) {
+            run(&args, &mut metrics);
         }
     }
-    emit_metric_artifacts(&metrics, &paths);
+    args.write_artifacts(
+        || format_metric_csv(&metrics),
+        || format_metric_json(&metrics),
+    );
 }

@@ -20,131 +20,56 @@
 //! diagnostics on stderr, and the sweep exits 1 after writing artifacts.
 //! Same grid + same seed ⇒ bit-identical artifacts (CI diffs two runs).
 
-use std::sync::Arc;
-
 use heterowire_bench::{
-    artifact_paths_from_args, degraded_config, emit_metric_artifacts, executor,
-    fault_specs_from_args, model_override_or, policies_from_args, run_one_policy_faults,
-    topology_override_or, MetricRow, PolicyKind, RunScale, SuiteResults,
+    degraded_config, executor, format_metric_csv, format_metric_json, policy_cells, sweep, Cell,
+    Flag, Grammar, MetricRow, Value, ALL_POLICIES, CSV, JSON,
 };
-use heterowire_core::{
-    mean_report, relative_report, EnergyParams, FaultSpec, ProcessorConfig, SimResults,
-};
-use heterowire_trace::spec2000;
+use heterowire_core::EnergyParams;
 
-/// The default transient error-rate ladder swept when no `--faults` flag
-/// is given (per-bit, per-hop L-Wire rates).
-const DEFAULT_GRID: [&str; 4] = ["l@1e-4", "l@1e-3", "l@1e-2", "l@3e-2"];
+const GRAMMAR: Grammar = Grammar {
+    name: "fault_sweep",
+    about: "races steering policies across wire-fault scenarios against a fault-free baseline",
+    flags: &[
+        Flag::one("--model", Value::Model, &["X"]),
+        Flag::one("--topology", Value::Topology, &["crossbar4"]),
+        Flag::many("--policy", Value::Policies, ALL_POLICIES),
+        // The transient L-Wire error-rate ladder (per-bit, per-hop rates).
+        Flag::many(
+            "--faults",
+            Value::Faults,
+            &["l@1e-4", "l@1e-3", "l@1e-2", "l@3e-2"],
+        ),
+        CSV,
+        JSON,
+    ],
+    positional: &[],
+};
 
 fn main() {
-    let scale = RunScale::from_env();
-    let args: Vec<String> = std::env::args().collect();
-    let topo = topology_override_or("crossbar4");
-    let model = model_override_or("X");
-    let policies = match policies_from_args(&args) {
-        Ok(list) => list.unwrap_or_else(|| PolicyKind::ALL.to_vec()),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    for &pk in &policies {
-        if let Err(e) = pk.check_supported(&model) {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-    let grid = match fault_specs_from_args(&args) {
-        Ok(specs) if specs.is_empty() => DEFAULT_GRID
-            .iter()
-            .map(|t| FaultSpec::parse(t).expect("default grid token parses"))
-            .collect(),
-        Ok(specs) => specs,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let args = GRAMMAR.parse();
+    let (model, topo, policies) = (args.model(), args.topology(), &args.policies);
 
-    // Scenario 0 is always the fault-free baseline.
-    let mut scenarios: Vec<(String, Option<FaultSpec>)> = vec![("none".to_string(), None)];
-    scenarios.extend(grid.into_iter().map(|s| (s.to_string(), Some(s))));
-
-    let configs: Vec<Arc<ProcessorConfig>> = scenarios
-        .iter()
-        .map(
-            |(name, spec)| match degraded_config(&model, topo.topology(), spec.as_ref()) {
-                Ok(c) => Arc::new(c),
-                Err(e) => {
-                    eprintln!("{name}: {e}");
-                    std::process::exit(2);
-                }
-            },
-        )
+    // Scenario 0 is always the fault-free baseline. One cell per
+    // (scenario, policy), scenarios outermost.
+    let scenarios: Vec<_> = std::iter::once(None)
+        .chain(args.faults.iter().cloned().map(Some))
         .collect();
-
-    let profiles = spec2000();
-    let nbench = profiles.len();
-    let names: Vec<&'static str> = profiles.iter().map(|p| p.name).collect();
-    let mut jobs = Vec::with_capacity(scenarios.len() * policies.len() * nbench);
-    for si in 0..scenarios.len() {
-        for pi in 0..policies.len() {
-            for &p in &profiles {
-                jobs.push((si, pi, p));
-            }
-        }
-    }
+    let cells: Vec<Cell> = scenarios
+        .iter()
+        .flat_map(|faults| {
+            let config = degraded_config(model, topo.topology(), faults.as_ref())
+                .expect("the parser checked every scenario against the model");
+            policy_cells(config, policies, faults.as_ref())
+        })
+        .collect();
     eprintln!(
-        "sweeping {} fault scenario(s) x {} policies x {} benchmarks on {} / {} ...",
+        "sweeping {} fault scenario(s) x {} policies x 23 benchmarks on {} / {} ...",
         scenarios.len(),
         policies.len(),
-        nbench,
         model.name(),
         topo.name(),
     );
-    let outcomes =
-        executor::run_indexed_catching(jobs, executor::default_workers(), |(si, pi, profile)| {
-            run_one_policy_faults(
-                configs[si].clone(),
-                profile,
-                scale,
-                policies[pi],
-                scenarios[si].1.as_ref(),
-            )
-        });
-
-    // Fold the flat job list into per-(scenario, policy) suites; any
-    // failed benchmark (stall or panic) fails the whole cell.
-    let mut suites: Vec<Vec<Result<SuiteResults, String>>> = Vec::new();
-    let mut chunks = outcomes.chunks(nbench);
-    for _ in 0..scenarios.len() {
-        let mut per_policy = Vec::new();
-        for _ in 0..policies.len() {
-            let chunk = chunks.next().expect("job list covers the grid");
-            let mut runs: Vec<SimResults> = Vec::with_capacity(nbench);
-            let mut failure: Option<String> = None;
-            for (bi, outcome) in chunk.iter().enumerate() {
-                match outcome {
-                    Ok(Ok(r)) => runs.push(*r),
-                    Ok(Err(stall)) if failure.is_none() => {
-                        failure = Some(format!("{}: {stall}", names[bi]));
-                    }
-                    Err(p) if failure.is_none() => {
-                        failure = Some(format!("{}: {p}", names[bi]));
-                    }
-                    _ => {}
-                }
-            }
-            per_policy.push(match failure {
-                None => Ok(SuiteResults {
-                    names: names.clone(),
-                    runs,
-                }),
-                Some(msg) => Err(msg),
-            });
-        }
-        suites.push(per_policy);
-    }
+    let suites = sweep(&cells, args.scale, executor::default_workers());
 
     let mut rows: Vec<MetricRow> = Vec::new();
     let mut failed = 0usize;
@@ -159,94 +84,64 @@ fn main() {
         "{:<26} {:<12} {:>7} {:>8} {:>9} {:>8} {:>8} {:>9}",
         "Scenario", "Policy", "IPC", "dIPC%", "ED2(10%)", "faults", "retx", "escal"
     );
-    for (si, (scenario, _)) in scenarios.iter().enumerate() {
-        for (pi, &pk) in policies.iter().enumerate() {
-            let section = scenario.as_str();
-            let label = pk.name();
-            match &suites[si][pi] {
-                Ok(suite) => {
-                    let ipc = suite.mean_ipc();
-                    let faults_detected: u64 =
-                        suite.runs.iter().map(|r| r.net.faults_detected).sum();
-                    let retransmits: u64 = suite.runs.iter().map(|r| r.net.retransmits).sum();
-                    let escalations: u64 = suite.runs.iter().map(|r| r.net.escalations).sum();
-                    let retry_cycles: u64 = suite.runs.iter().map(|r| r.net.retry_cycles).sum();
-                    rows.push(MetricRow::new(section, label, "am_ipc", ipc));
-                    rows.push(MetricRow::new(
-                        section,
-                        label,
-                        "faults_detected",
-                        faults_detected as f64,
-                    ));
-                    rows.push(MetricRow::new(
-                        section,
-                        label,
-                        "retransmits",
-                        retransmits as f64,
-                    ));
-                    rows.push(MetricRow::new(
-                        section,
-                        label,
-                        "escalations",
-                        escalations as f64,
-                    ));
-                    rows.push(MetricRow::new(
-                        section,
-                        label,
-                        "retry_cycles",
-                        retry_cycles as f64,
-                    ));
-                    // Degradation curves vs the fault-free baseline of the
-                    // same policy (only meaningful when it completed).
-                    let (mut dipc, mut ed2_10) = (f64::NAN, f64::NAN);
-                    if let Ok(base) = &suites[0][pi] {
-                        dipc = 100.0 * (1.0 - ipc / base.mean_ipc());
-                        let rel = |params: EnergyParams| {
-                            let rs: Vec<_> = suite
-                                .runs
-                                .iter()
-                                .zip(&base.runs)
-                                .map(|(m, b)| relative_report(m, b, params))
-                                .collect();
-                            mean_report(&rs).rel_ed2
-                        };
-                        ed2_10 = rel(EnergyParams::ten_percent());
-                        rows.push(MetricRow::new(section, label, "ipc_drop_pct", dipc));
-                        rows.push(MetricRow::new(section, label, "ed2_10_pct", ed2_10));
-                        rows.push(MetricRow::new(
-                            section,
-                            label,
-                            "ed2_20_pct",
-                            rel(EnergyParams::twenty_percent()),
-                        ));
-                    }
-                    rows.push(MetricRow::new(section, label, "failed", 0.0));
-                    println!(
-                        "{:<26} {:<12} {:>7.4} {:>8.3} {:>9.2} {:>8} {:>8} {:>9}",
-                        scenario,
-                        label,
-                        ipc,
-                        dipc,
-                        ed2_10,
-                        faults_detected,
-                        retransmits,
-                        escalations
-                    );
-                }
-                Err(msg) => {
-                    failed += 1;
-                    eprintln!("FAILED {scenario} / {label}: {msg}");
-                    rows.push(MetricRow::new(section, label, "failed", 1.0));
-                    println!(
-                        "{:<26} {:<12} {:>7} {:>8} {:>9} {:>8} {:>8} {:>9}",
-                        scenario, label, "FAILED", "-", "-", "-", "-", "-"
-                    );
-                }
+    for (ci, (cell, result)) in cells.iter().zip(&suites).enumerate() {
+        let scenario = match &cell.faults {
+            Some(spec) => spec.to_string(),
+            None => "none".to_string(),
+        };
+        let section = scenario.as_str();
+        let label = cell.policy.name();
+        let suite = match result {
+            Ok(suite) => suite,
+            Err(msg) => {
+                failed += 1;
+                eprintln!("FAILED {scenario} / {label}: {msg}");
+                rows.push(MetricRow::new(section, label, "failed", 1.0));
+                println!(
+                    "{:<26} {:<12} {:>7} {:>8} {:>9} {:>8} {:>8} {:>9}",
+                    scenario, label, "FAILED", "-", "-", "-", "-", "-"
+                );
+                continue;
             }
+        };
+        let ipc = suite.mean_ipc();
+        let total = |counter: fn(&heterowire_core::SimResults) -> u64| -> u64 {
+            suite.runs.iter().map(counter).sum()
+        };
+        let faults_detected = total(|r| r.net.faults_detected);
+        let retransmits = total(|r| r.net.retransmits);
+        let escalations = total(|r| r.net.escalations);
+        for (metric, value) in [
+            ("am_ipc", ipc),
+            ("faults_detected", faults_detected as f64),
+            ("retransmits", retransmits as f64),
+            ("escalations", escalations as f64),
+            ("retry_cycles", total(|r| r.net.retry_cycles) as f64),
+        ] {
+            rows.push(MetricRow::new(section, label, metric, value));
         }
+        // Degradation curves vs the fault-free baseline of the same policy
+        // (only meaningful when it completed); the baseline cells come
+        // first, in policy order.
+        let (mut dipc, mut ed2_10) = (f64::NAN, f64::NAN);
+        if let Ok(base) = &suites[ci % policies.len()] {
+            dipc = 100.0 * (1.0 - ipc / base.mean_ipc());
+            ed2_10 = suite.relative_to(base, EnergyParams::ten_percent()).rel_ed2;
+            let ed2_20 = suite
+                .relative_to(base, EnergyParams::twenty_percent())
+                .rel_ed2;
+            rows.push(MetricRow::new(section, label, "ipc_drop_pct", dipc));
+            rows.push(MetricRow::new(section, label, "ed2_10_pct", ed2_10));
+            rows.push(MetricRow::new(section, label, "ed2_20_pct", ed2_20));
+        }
+        rows.push(MetricRow::new(section, label, "failed", 0.0));
+        println!(
+            "{:<26} {:<12} {:>7.4} {:>8.3} {:>9.2} {:>8} {:>8} {:>9}",
+            scenario, label, ipc, dipc, ed2_10, faults_detected, retransmits, escalations
+        );
     }
     println!();
-    emit_metric_artifacts(&rows, &artifact_paths_from_args());
+    args.write_artifacts(|| format_metric_csv(&rows), || format_metric_json(&rows));
     if failed > 0 {
         eprintln!("{failed} sweep cell(s) failed");
         std::process::exit(1);

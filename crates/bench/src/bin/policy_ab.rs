@@ -19,63 +19,47 @@
 //! on `custom:b144`) is refused up front with exit status 2.
 
 use heterowire_bench::{
-    artifact_paths_from_args, emit_metric_artifacts, executor, format_policy_table,
-    policies_from_args, policy_metric_rows, policy_sweep_runs, ModelSet, PolicyKind, RunScale,
-    TopologySet,
+    completed, executor, format_metric_csv, format_metric_json, format_policy_table, policy_cells,
+    policy_metric_rows, sweep, Cell, Flag, Grammar, Value, ALL_POLICIES, CSV, JSON,
 };
-use heterowire_core::ModelSpec;
+use heterowire_core::ProcessorConfig;
+
+const GRAMMAR: Grammar = Grammar {
+    name: "policy_ab",
+    about: "races steering policies (the first is the ED2 baseline) per model and topology",
+    flags: &[
+        Flag::many("--model", Value::Model, &["X"]),
+        Flag::many("--topology", Value::Topology, &["crossbar4"]),
+        Flag::many("--policy", Value::Policies, ALL_POLICIES),
+        CSV,
+        JSON,
+    ],
+    positional: &[],
+};
 
 fn main() {
-    let scale = RunScale::from_env();
-    let args: Vec<String> = std::env::args().collect();
-    let topologies = TopologySet::from_args_or("crossbar4");
-    let models = match ModelSet::from_args(&args) {
-        Ok(set) => set.unwrap_or_else(|| {
-            ModelSet::new(vec![ModelSpec::parse("X").expect("preset X parses")])
-                .expect("non-empty set")
-        }),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let policies = match policies_from_args(&args) {
-        Ok(list) => list.unwrap_or_else(|| PolicyKind::ALL.to_vec()),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    for spec in models.specs() {
-        for &pk in &policies {
-            if let Err(e) = pk.check_supported(spec) {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let args = GRAMMAR.parse();
+    let policies = &args.policies;
     let names: Vec<&str> = policies.iter().map(|p| p.name()).collect();
+    let models: Vec<String> = args.models.iter().map(|s| s.name()).collect();
     let mut rows = Vec::new();
-    for topo_spec in topologies.specs() {
+    for topo_spec in &args.topologies {
         eprintln!(
             "racing {} on {} / {} x 23 benchmarks ...",
             names.join(", "),
             topo_spec.name(),
-            models
-                .specs()
-                .iter()
-                .map(|s| s.name())
-                .collect::<Vec<_>>()
-                .join(", ")
+            models.join(", ")
         );
-        let suites = policy_sweep_runs(
-            &models,
-            &policies,
-            topo_spec.topology(),
-            scale,
-            executor::default_workers(),
-        );
+        // One cell per (model, policy), models outermost.
+        let cells: Vec<Cell> = args
+            .models
+            .iter()
+            .flat_map(|spec| {
+                let config = ProcessorConfig::for_model_spec(spec, topo_spec.topology());
+                policy_cells(config, policies, None)
+            })
+            .collect();
+        let suites = completed(sweep(&cells, args.scale, executor::default_workers()));
 
         println!(
             "Steering-policy A/B comparison, {} ({} clusters)",
@@ -83,12 +67,12 @@ fn main() {
             topo_spec.topology().clusters()
         );
         println!("(ED2 is % of the first listed policy, at 10%/20% interconnect fractions)\n");
-        for (spec, model_suites) in models.specs().iter().zip(&suites) {
-            println!("{}", format_policy_table(spec, &policies, model_suites));
-            let mut model_rows = policy_metric_rows(spec, &policies, model_suites);
+        for (spec, model_suites) in args.models.iter().zip(suites.chunks(policies.len())) {
+            println!("{}", format_policy_table(spec, policies, model_suites));
+            let mut model_rows = policy_metric_rows(spec, policies, model_suites);
             // In a multi-topology race the section key carries the
             // topology so rows stay distinguishable in the artifacts.
-            if topologies.len() > 1 {
+            if args.topologies.len() > 1 {
                 for r in &mut model_rows {
                     r.section = format!("{}/{}", topo_spec.name(), r.section);
                 }
@@ -96,5 +80,5 @@ fn main() {
             rows.extend(model_rows);
         }
     }
-    emit_metric_artifacts(&rows, &artifact_paths_from_args());
+    args.write_artifacts(|| format_metric_csv(&rows), || format_metric_json(&rows));
 }

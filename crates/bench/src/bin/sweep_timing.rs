@@ -7,81 +7,57 @@
 
 use heterowire_bench::timing::{git_revision, time_once, BenchReport, Measurement};
 use heterowire_bench::{
-    executor, parse_topology_token, sweep_runs_serial_set, sweep_runs_set, ModelSet, RunScale,
+    completed, executor, model_cells, sweep, sweep_serial, write_artifact, Flag, Grammar, RunScale,
+    Value, HELP, PAPER_MODELS,
 };
-use heterowire_core::ModelSpec;
 
-const USAGE: &str = "usage: sweep_timing [--label NAME] [--out CSV_PATH] [--json-out JSON_PATH]\n\
-    [--model TOKEN]... [--topology TOKEN]\n\
-    times the quick-scale model sweep (serial vs. executor) and appends a\n\
-    CSV row to --out (default results/sweep_timing.csv) plus a schema-checked\n\
-    bench.json report to --json-out (default results/bench.json); repeated\n\
-    --model flags (presets or custom:<spec>) replace the default Models I-X;\n\
-    --topology (a preset, compact spec or spec file) replaces the default\n\
-    4-cluster crossbar";
+const GRAMMAR: Grammar = Grammar {
+    name: "sweep_timing",
+    about: "times the quick-scale model sweep (serial vs. executor) and appends a\n\
+    CSV row to --out plus a schema-checked bench.json report to --json-out;\n\
+    repeated --model flags (presets or custom:<spec>) replace the default\n\
+    Models I-X; --topology (a preset, compact spec or spec file) replaces the\n\
+    default 4-cluster crossbar",
+    flags: &[
+        Flag::one("--label", Value::Text("NAME"), &["run"]),
+        Flag::one(
+            "--out",
+            Value::Text("CSV_PATH"),
+            &["results/sweep_timing.csv"],
+        ),
+        Flag::one(
+            "--json-out",
+            Value::Text("JSON_PATH"),
+            &["results/bench.json"],
+        ),
+        Flag::many("--model", Value::Model, PAPER_MODELS),
+        Flag::one("--topology", Value::Topology, &["crossbar4"]),
+        HELP,
+    ],
+    positional: &[],
+};
 
 fn main() {
-    let mut label = "run".to_string();
-    let mut out = "results/sweep_timing.csv".to_string();
-    let mut json_out = "results/bench.json".to_string();
-    let mut specs: Vec<ModelSpec> = Vec::new();
-    let mut topo_token = "crossbar4".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let value = |args: &mut dyn Iterator<Item = String>| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{arg} requires a value\n{USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--label" => label = value(&mut args),
-            "--out" => out = value(&mut args),
-            "--json-out" => json_out = value(&mut args),
-            "--model" => {
-                let token = value(&mut args);
-                specs.push(ModelSpec::parse(&token).unwrap_or_else(|e| {
-                    eprintln!("--model {token:?}: {e}\n{USAGE}");
-                    std::process::exit(2);
-                }));
-            }
-            "--topology" => topo_token = value(&mut args),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument {other:?}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let models = if specs.is_empty() {
-        ModelSet::paper()
-    } else {
-        ModelSet::new(specs).expect("non-empty")
-    };
-
+    let args = GRAMMAR.parse();
+    let label = args.value("--label").expect("defaulted");
+    let out = args.value("--out").expect("defaulted");
+    let json_out = args.value("--json-out").expect("defaulted");
+    // Always the quick scale: the timing trail compares like with like.
     let scale = RunScale::quick();
     let workers = executor::default_workers();
-    let topology = parse_topology_token(&topo_token)
-        .unwrap_or_else(|e| {
-            eprintln!("{e}\n{USAGE}");
-            std::process::exit(2);
-        })
-        .topology();
+    let cells = model_cells(&args.models, args.topology().topology());
 
     eprintln!(
         "quick-scale model sweep ({} models), serial reference ...",
-        models.len()
+        cells.len()
     );
-    let (serial, t_serial) = time_once(|| sweep_runs_serial_set(&models, topology, scale));
+    let (serial, t_serial) = time_once(|| completed(sweep_serial(&cells, scale)));
     eprintln!("quick-scale model sweep, executor ({workers} workers) ...");
-    let (parallel, t_parallel) = time_once(|| sweep_runs_set(&models, topology, scale, workers));
-
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.runs, p.runs, "executor must be bit-identical to serial");
-    }
+    let (parallel, t_parallel) = time_once(|| completed(sweep(&cells, scale, workers)));
+    assert!(
+        serial == parallel,
+        "executor must be bit-identical to serial"
+    );
 
     let speedup = t_serial.as_secs_f64() / t_parallel.as_secs_f64();
     println!(
@@ -90,18 +66,9 @@ fn main() {
         t_parallel.as_secs_f64(),
     );
 
-    let path = std::path::Path::new(&out);
-    if let Some(dir) = path.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create results directory {}: {e}", dir.display());
-            std::process::exit(2);
-        }
-    }
+    let path = std::path::Path::new(out);
     let header = "label,host_threads,window,warmup,serial_s,executor_s,speedup\n";
-    let mut body = match std::fs::read_to_string(path) {
-        Ok(existing) => existing,
-        Err(_) => String::from(header),
-    };
+    let mut body = std::fs::read_to_string(path).unwrap_or_else(|_| String::from(header));
     body.push_str(&format!(
         "{},{},{},{},{:.3},{:.3},{:.2}\n",
         label,
@@ -112,18 +79,14 @@ fn main() {
         t_parallel.as_secs_f64(),
         speedup
     ));
-    if let Err(e) = std::fs::write(path, &body) {
-        eprintln!("cannot write timing csv {}: {e}", path.display());
-        std::process::exit(2);
-    }
-    println!("appended to {out}");
+    write_artifact(path, &body);
 
     // Machine-readable perf-trajectory artifact, schema-validated on write
     // and after re-reading from disk (the CI gate fails on schema errors
     // only; the timing values themselves are warn-only on shared runners).
     let report = BenchReport {
         suite: "sweep_timing".to_string(),
-        label,
+        label: label.to_string(),
         host_threads: workers as u64,
         git_rev: git_revision(),
         measurements: vec![
@@ -137,7 +100,7 @@ fn main() {
             },
         ],
     };
-    if let Err(e) = report.write(std::path::Path::new(&json_out)) {
+    if let Err(e) = report.write(std::path::Path::new(json_out)) {
         eprintln!("bench.json schema violation: {e}");
         std::process::exit(1);
     }

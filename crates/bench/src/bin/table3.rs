@@ -3,10 +3,26 @@
 //! dynamic and leakage energy, relative processor energy, and ED² at 10%
 //! and 20% interconnect energy fractions, all normalised to Model I.
 
-use heterowire_bench::{format_model_table, model_sweep_main};
+use heterowire_bench::{
+    format_model_table, model_sweep_main, Flag, Grammar, Value, CSV, JSON, PAPER_MODELS,
+};
+
+const GRAMMAR: Grammar = Grammar {
+    name: "table3",
+    about: "sweeps the models (the first is the baseline) on one topology, Table-3 layout",
+    flags: &[
+        Flag::many("--model", Value::Model, PAPER_MODELS),
+        Flag::one("--topology", Value::Topology, &["crossbar4"]),
+        CSV,
+        JSON,
+    ],
+    positional: &[],
+};
 
 fn main() {
-    let (topo, rows) = model_sweep_main("crossbar4");
+    let args = GRAMMAR.parse();
+    let rows = model_sweep_main(&args);
+    let topo = args.topology();
     println!(
         "Table 3: heterogeneous interconnect energy and performance, {} ({} clusters)",
         topo.name(),

@@ -3,10 +3,24 @@
 //! energy at 20% of Model-I chip energy — the configuration in which the
 //! paper reports up to 11% ED² reduction.
 
-use heterowire_bench::model_sweep_main;
+use heterowire_bench::{model_sweep_main, Flag, Grammar, Value, CSV, JSON, PAPER_MODELS};
+
+const GRAMMAR: Grammar = Grammar {
+    name: "table4",
+    about: "sweeps the models (the first is the baseline) on one topology, Table-4 layout",
+    flags: &[
+        Flag::many("--model", Value::Model, PAPER_MODELS),
+        Flag::one("--topology", Value::Topology, &["hier16"]),
+        CSV,
+        JSON,
+    ],
+    positional: &[],
+};
 
 fn main() {
-    let (topo, rows) = model_sweep_main("hier16");
+    let args = GRAMMAR.parse();
+    let rows = model_sweep_main(&args);
+    let topo = args.topology();
 
     println!(
         "Table 4: heterogeneous interconnect energy and performance, {} ({} clusters)",

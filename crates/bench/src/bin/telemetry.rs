@@ -16,59 +16,46 @@
 //!           [--window 64] [--out-dir results]
 //! ```
 
-use std::path::PathBuf;
+use std::path::Path;
 
-use heterowire_bench::{flag_path_from, parse_topology_token, write_artifact, RunScale, SEED};
-use heterowire_core::{ModelSpec, Processor, ProcessorConfig, RecordingConfig, RecordingProbe};
+use heterowire_bench::{write_artifact, Flag, Grammar, Value, SEED};
+use heterowire_core::{Processor, ProcessorConfig, RecordingConfig, RecordingProbe};
 use heterowire_telemetry::{chrome_trace, utilization_csv};
 use heterowire_trace::{by_name, TraceGenerator};
 use heterowire_wires::WireClass;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .map(|i| match args.get(i + 1) {
-            Some(v) => v.clone(),
-            None => {
-                eprintln!("{flag} requires a value");
-                std::process::exit(2);
-            }
-        })
-}
+const GRAMMAR: Grammar = Grammar {
+    name: "telemetry",
+    about: "records one (model, benchmark) run and writes trace.json + utilization.csv",
+    flags: &[
+        Flag::one("--model", Value::Model, &["VII"]),
+        Flag::one("--bench", Value::Benchmark, &["gzip"]),
+        Flag::one("--topology", Value::Topology, &["crossbar4"]),
+        Flag::one("--window", Value::Count, &["64"]),
+        Flag::one("--out-dir", Value::Text("DIR"), &["results"]),
+    ],
+    positional: &[],
+};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let model_name = flag_value(&args, "--model").unwrap_or_else(|| "VII".to_string());
-    let bench_name = flag_value(&args, "--bench").unwrap_or_else(|| "gzip".to_string());
-    let topo_name = flag_value(&args, "--topology").unwrap_or_else(|| "crossbar4".to_string());
-    let window: u64 = flag_value(&args, "--window")
-        .map(|v| v.parse().expect("--window takes a cycle count"))
-        .unwrap_or(64);
-    let out_dir = flag_path_from(&args, "--out-dir")
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
-        .unwrap_or_else(|| PathBuf::from("results"));
-
-    let model = ModelSpec::parse(&model_name).unwrap_or_else(|e| {
-        eprintln!("--model {model_name:?}: {e}");
-        std::process::exit(2);
-    });
-    let topo_spec = parse_topology_token(&topo_name).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let args = GRAMMAR.parse();
+    let (model, topo_spec) = (args.model(), args.topology());
     let topology = topo_spec.topology();
-    let profile = by_name(&bench_name).unwrap_or_else(|| {
-        eprintln!("unknown benchmark {bench_name:?}");
-        std::process::exit(2);
-    });
+    // The parser has checked both values and applied their defaults.
+    let profile = args
+        .value("--bench")
+        .and_then(by_name)
+        .expect("a known benchmark");
+    let window: u64 = args
+        .value("--window")
+        .and_then(|w| w.parse().ok())
+        .expect("a positive cycle count");
+    let out_dir = Path::new(args.value("--out-dir").expect("defaulted"));
+    let scale = args.scale;
 
     // Warmup 0 so the recorded network counters reconcile exactly with the
     // end-of-run NetStats.
-    let scale = RunScale::from_env();
-    let cfg = ProcessorConfig::for_model_spec(&model, topology);
+    let cfg = ProcessorConfig::for_model_spec(model, topology);
 
     eprintln!(
         "recording {} / {} on {}, {} instructions, window {window} ...",

@@ -3,33 +3,49 @@
 //! The experiment harness that regenerates every table and figure of the
 //! HPCA-11 2005 wire-management paper from the `heterowire` simulator:
 //!
-//! | Binary        | Regenerates |
-//! |---------------|-------------|
-//! | `table2`      | Table 2 (wire parameters, derived from physics) |
-//! | `fig3`        | Figure 3 (per-benchmark IPC, baseline vs +L-Wires) |
-//! | `table3`      | Table 3 (Models I–X on 4 clusters) |
-//! | `table4`      | Table 4 (Models I–X on 16 clusters) |
-//! | `sensitivity` | §1/§5.3 scalar claims (2x latency, 4→16 clusters, predictor and LSQ rates) |
-//! | `ablation`    | design-choice sweeps (LS bits, balancer, narrow threshold, per-optimization) |
+//! | Binary         | Regenerates |
+//! |----------------|-------------|
+//! | `table2`       | Table 2 (wire parameters, derived from physics) |
+//! | `fig3`         | Figure 3 (per-benchmark IPC, baseline vs +L-Wires) |
+//! | `table3`       | Table 3 (Models I–X on 4 clusters) |
+//! | `table4`       | Table 4 (Models I–X on 16 clusters) |
+//! | `sensitivity`  | §1/§5.3 scalar claims (2x latency, 4→16 clusters, predictor and LSQ rates) |
+//! | `ablation`     | design-choice sweeps (LS bits, balancer, narrow threshold, per-optimization) |
+//! | `policy_ab`    | the five steering policies raced per model and topology (IPC, traffic mix, ED²) |
+//! | `fault_sweep`  | each policy's IPC / ED² degradation across a wire-fault grid |
+//! | `sweep_timing` | wall-clock of the quick model sweep, serial loop vs executor (`sweep_timing.csv`, `bench.json`) |
+//! | `telemetry`    | one recorded run as a Perfetto `trace.json` plus `utilization.csv` |
 //!
-//! The library part hosts the shared experiment-running machinery so the
-//! binaries, the integration tests and the timing benches all run the
-//! exact same code. Suite and sweep runs are parallelised by the bounded
-//! work-queue in [`executor`]; wall-clock measurement lives in [`timing`].
+//! The library is the one code path the binaries, the integration tests
+//! and the timing benches share, in three layers:
+//!
+//! * **one run function**, [`run_one_policy_faults`]: one benchmark on one
+//!   configuration under a steering policy and an optional fault scenario;
+//! * **one sweep**, [`sweep`]: a list of [`Cell`]s (configuration × policy
+//!   × fault scenario), each over the 23-benchmark suite, as one flat job
+//!   list on the work-queue [`executor`] — [`sweep_serial`] is its plain-loop
+//!   reference;
+//! * **one argv parser**, [`Grammar::parse`]: each binary declares its
+//!   flags and their defaults as a [`Grammar`], and every argv or
+//!   `HETEROWIRE_SCALE` error exits 2 with usage before anything runs.
+//!
+//! Wall-clock measurement lives in [`timing`].
 
 pub mod executor;
 pub mod timing;
 
+use std::path::Path;
 use std::sync::Arc;
 
 use heterowire_core::{
-    mean_report, relative_report, CriticalityPolicy, EnergyParams, FaultSpec, ModelSpec, NullProbe,
-    Optimizations, OraclePolicy, PaperPolicy, Processor, ProcessorConfig, PwFirstPolicy,
-    RelativeReport, SimResults, SprayPolicy, StallReport,
+    mean_report, relative_report, CriticalityPolicy, EnergyParams, FaultSpec, InjectedFaults,
+    ModelSpec, NullFaultModel, NullProbe, Optimizations, OraclePolicy, PaperPolicy, Processor,
+    ProcessorConfig, PwFirstPolicy, RelativeReport, SimResults, SprayPolicy, StallReport,
+    TransferPolicy,
 };
 use heterowire_interconnect::{Topology, TopologySpec};
 use heterowire_telemetry::json::JsonWriter;
-use heterowire_trace::{spec2000, BenchmarkProfile, TraceGenerator};
+use heterowire_trace::{by_name, spec2000, BenchmarkProfile, TraceGenerator};
 use heterowire_wires::classes::Table2Row;
 use heterowire_wires::WireClass;
 
@@ -39,6 +55,13 @@ pub const DEFAULT_WINDOW: u64 = 100_000;
 pub const DEFAULT_WARMUP: u64 = 30_000;
 /// Experiment seed (fixed for reproducibility).
 pub const SEED: u64 = 0x5EED_2005;
+
+/// The paper's Models I–X in table order: the default `--model` set of the
+/// model sweeps (Model I, first, is the normalisation baseline).
+pub const PAPER_MODELS: &[&str] = &["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X"];
+
+/// Every steering policy, in race order: the default `--policy` list.
+pub const ALL_POLICIES: &[&str] = &["paper", "spray", "criticality", "pwfirst", "oracle"];
 
 /// Which workload scale to run at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,138 +102,11 @@ impl RunScale {
             )),
         }
     }
-
-    /// Reads `HETEROWIRE_SCALE=quick|full` from the environment (default
-    /// full) so CI can downscale the harness. Panics on unknown values.
-    pub fn from_env() -> Self {
-        let value = std::env::var("HETEROWIRE_SCALE").ok();
-        Self::from_env_value(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
-/// The ordered set of interconnect models a sweep covers. The first entry
-/// is the normalisation baseline every row is reported against; the
-/// default set is the paper's Models I–X (baseline Model I).
-///
-/// Every harness binary accepts repeated `--model <token>` flags, where a
-/// token is a Roman-numeral preset (`VII`) or a data-driven composition
-/// (`custom:b144+pw288+l36`); see [`ModelSpec::parse`].
-#[derive(Debug, Clone)]
-pub struct ModelSet {
-    specs: Vec<ModelSpec>,
-}
-
-impl ModelSet {
-    /// The paper's Models I–X in table order (Model I is the baseline).
-    pub fn paper() -> Self {
-        ModelSet {
-            specs: ModelSpec::paper_presets(),
-        }
-    }
-
-    /// Builds a set from explicit specs; the first is the baseline.
-    pub fn new(specs: Vec<ModelSpec>) -> Result<Self, String> {
-        if specs.is_empty() {
-            return Err("a model set needs at least one model".to_string());
-        }
-        Ok(ModelSet { specs })
-    }
-
-    /// The specs, in sweep order.
-    pub fn specs(&self) -> &[ModelSpec] {
-        &self.specs
-    }
-
-    /// Number of models in the set (never zero).
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// Always false — kept for clippy's `len`/`is_empty` pairing.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// Collects every `--model <token>` pair from an argument list.
-    /// Returns `None` when no `--model` flag is present (caller picks its
-    /// default); a flag without a value or an unparseable token is an
-    /// error.
-    pub fn from_args(args: &[String]) -> Result<Option<Self>, String> {
-        let mut specs = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            if args[i] == "--model" {
-                let token = args
-                    .get(i + 1)
-                    .ok_or_else(|| "--model requires a value".to_string())?;
-                specs.push(ModelSpec::parse(token).map_err(|e| format!("--model {token:?}: {e}"))?);
-                i += 2;
-            } else {
-                i += 1;
-            }
-        }
-        if specs.is_empty() {
-            return Ok(None);
-        }
-        Self::new(specs).map(Some)
-    }
-
-    /// [`ModelSet::from_args`] over `std::env::args`, defaulting to the
-    /// paper set; exits with status 2 on a malformed `--model`.
-    pub fn from_args_or_paper() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        match Self::from_args(&args) {
-            Ok(set) => set.unwrap_or_else(Self::paper),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
-    }
-}
-
-/// Parses a single `--model` override from `std::env::args` for binaries
-/// that study one model rather than sweeping a set; `default` (a preset
-/// name or `custom:<spec>` token) applies when no flag is given. Exits
-/// with status 2 on a malformed token or on more than one `--model`.
-pub fn model_override_or(default: &str) -> ModelSpec {
-    let args: Vec<String> = std::env::args().collect();
-    match ModelSet::from_args(&args) {
-        Ok(None) => ModelSpec::parse(default).expect("default model token is valid"),
-        Ok(Some(set)) if set.len() == 1 => set.specs()[0].clone(),
-        Ok(Some(_)) => {
-            eprintln!("this binary takes at most one --model");
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Runs one benchmark profile under one processor configuration.
-pub fn run_one(config: ProcessorConfig, profile: BenchmarkProfile, scale: RunScale) -> SimResults {
-    run_one_shared(Arc::new(config), profile, scale)
-}
-
-/// [`run_one`] over a shared configuration — sweep harnesses running one
-/// config across many benchmarks share a single allocation instead of
-/// cloning the whole `ProcessorConfig` per job.
-pub fn run_one_shared(
-    config: Arc<ProcessorConfig>,
-    profile: BenchmarkProfile,
-    scale: RunScale,
-) -> SimResults {
-    let trace = TraceGenerator::new(profile, SEED);
-    Processor::with_shared_config(config, trace).run(scale.window, scale.warmup)
-}
-
-/// A named steering policy the multi-policy A/B harness (`policy_ab`) can
-/// race. Each kind maps to one [`TransferPolicy`] implementation;
-/// [`run_one_policy`] does the monomorphized dispatch.
-///
-/// [`TransferPolicy`]: heterowire_core::TransferPolicy
+/// A named steering policy the harness can race. Each kind maps to one
+/// [`TransferPolicy`] implementation; [`run_one_policy_faults`] does the
+/// monomorphized dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
     /// The paper's wire management
@@ -295,38 +191,6 @@ impl PolicyKind {
     }
 }
 
-/// Collects the comma-separated values of every `--policy` flag from an
-/// argument list (`--policy paper,spray --policy oracle` ==
-/// `--policy paper,spray,oracle`). Returns `None` when no flag is present
-/// (caller picks its default); a flag without a value, an unknown name or
-/// a duplicate is an error.
-pub fn policies_from_args(args: &[String]) -> Result<Option<Vec<PolicyKind>>, String> {
-    let mut policies: Vec<PolicyKind> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--policy" {
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| "--policy requires a value".to_string())?;
-            for token in value.split(',') {
-                let p = PolicyKind::parse(token)?;
-                if policies.contains(&p) {
-                    return Err(format!("policy {token:?} given more than once"));
-                }
-                policies.push(p);
-            }
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    Ok(if policies.is_empty() {
-        None
-    } else {
-        Some(policies)
-    })
-}
-
 /// Resolves one `--topology` token: a preset name (`crossbar4`, `hier16`),
 /// a compact spec (`xbar:8`, `ring:6x4[@hop<n>][@xbar<n>]`), or the path
 /// of a key=value spec file. Tokens containing `:` are always treated as
@@ -359,146 +223,6 @@ pub fn parse_topology_token(token: &str) -> Result<TopologySpec, String> {
     Ok(spec)
 }
 
-/// The ordered set of topologies a race covers, mirroring [`ModelSet`]:
-/// every harness binary accepts repeated `--topology <token>` flags (see
-/// [`parse_topology_token`] for the token forms); single-topology binaries
-/// use [`topology_override_or`] instead.
-#[derive(Debug, Clone)]
-pub struct TopologySet {
-    specs: Vec<TopologySpec>,
-}
-
-impl TopologySet {
-    /// Builds a set from explicit specs.
-    pub fn new(specs: Vec<TopologySpec>) -> Result<Self, String> {
-        if specs.is_empty() {
-            return Err("a topology set needs at least one topology".to_string());
-        }
-        Ok(TopologySet { specs })
-    }
-
-    /// The specs, in sweep order.
-    pub fn specs(&self) -> &[TopologySpec] {
-        &self.specs
-    }
-
-    /// Number of topologies in the set (never zero).
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// Always false — kept for clippy's `len`/`is_empty` pairing.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// Collects every `--topology <token>` pair from an argument list.
-    /// Returns `None` when no flag is present (caller picks its default);
-    /// a flag without a value or an unparseable token is an error.
-    pub fn from_args(args: &[String]) -> Result<Option<Self>, String> {
-        let mut specs = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            if args[i] == "--topology" {
-                let token = args
-                    .get(i + 1)
-                    .ok_or_else(|| "--topology requires a value".to_string())?;
-                specs.push(parse_topology_token(token)?);
-                i += 2;
-            } else {
-                i += 1;
-            }
-        }
-        if specs.is_empty() {
-            return Ok(None);
-        }
-        Self::new(specs).map(Some)
-    }
-
-    /// [`TopologySet::from_args`] over `std::env::args`, defaulting to the
-    /// single topology named by `default`; exits with status 2 on a
-    /// malformed `--topology`.
-    pub fn from_args_or(default: &str) -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        match Self::from_args(&args) {
-            Ok(Some(set)) => set,
-            Ok(None) => {
-                let spec = parse_topology_token(default).expect("default topology token is valid");
-                TopologySet { specs: vec![spec] }
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
-    }
-}
-
-/// Parses an optional single `--topology` flag (preset, spec or spec-file
-/// token). `Ok(None)` when the flag is absent; `Err` on a malformed token
-/// or a repeated flag.
-pub fn topology_from_args(args: &[String]) -> Result<Option<TopologySpec>, String> {
-    match TopologySet::from_args(args)? {
-        None => Ok(None),
-        Some(set) if set.len() == 1 => Ok(Some(set.specs()[0])),
-        Some(_) => Err("--topology given more than once".to_string()),
-    }
-}
-
-/// Parses a single `--topology` override from `std::env::args` for
-/// binaries that study one topology rather than racing a set; `default`
-/// applies when no flag is given. Exits with status 2 on a malformed token
-/// or on more than one `--topology`.
-pub fn topology_override_or(default: &str) -> TopologySpec {
-    let args: Vec<String> = std::env::args().collect();
-    match topology_from_args(&args) {
-        Ok(None) => parse_topology_token(default).expect("default topology token is valid"),
-        Ok(Some(spec)) => spec,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Runs one benchmark profile under one configuration with the named
-/// steering policy. `PolicyKind::Paper` takes the exact default-processor
-/// construction path, so its results are bit-identical to
-/// [`run_one_shared`].
-pub fn run_one_policy(
-    config: Arc<ProcessorConfig>,
-    profile: BenchmarkProfile,
-    scale: RunScale,
-    policy: PolicyKind,
-) -> SimResults {
-    let trace = TraceGenerator::new(profile, SEED);
-    match policy {
-        PolicyKind::Paper => {
-            Processor::with_shared_config(config, trace).run(scale.window, scale.warmup)
-        }
-        PolicyKind::Spray => {
-            let p = SprayPolicy::new(&config.link);
-            Processor::with_policy_shared(config, trace, NullProbe, p)
-                .run(scale.window, scale.warmup)
-        }
-        PolicyKind::Criticality => {
-            let p = CriticalityPolicy::new(&config);
-            Processor::with_policy_shared(config, trace, NullProbe, p)
-                .run(scale.window, scale.warmup)
-        }
-        PolicyKind::PwFirst => {
-            let p = PwFirstPolicy::new(&config);
-            Processor::with_policy_shared(config, trace, NullProbe, p)
-                .run(scale.window, scale.warmup)
-        }
-        PolicyKind::Oracle => {
-            let p = OraclePolicy::new(&config);
-            Processor::with_policy_shared(config, trace, NullProbe, p)
-                .run(scale.window, scale.warmup)
-        }
-    }
-}
-
 /// Builds the processor configuration for a model on a topology with a
 /// fault scenario's stuck lanes already retired from the link — the
 /// optimization set is recomputed for the surviving planes, so steering
@@ -521,14 +245,15 @@ pub fn degraded_config(
     Ok(config)
 }
 
-/// [`run_one_policy`] under a fault scenario: transient rates drive the
-/// seeded injector inside the network, and the watchdog's stall report
-/// comes back as a structured error instead of a panic (a saturated rate
-/// can livelock the fabric legitimately — that is a failed row, not a
-/// dead sweep). `config` must already carry the scenario's degraded link
-/// (see [`degraded_config`]). With `faults` absent or transient-free the
-/// run takes the exact fault-free construction path, so results are
-/// bit-identical to [`run_one_policy`].
+/// The harness's one run function: runs one benchmark profile (trace seed
+/// [`SEED`]) under a configuration with the named steering policy and an
+/// optional fault scenario. Transient rates drive the seeded injector
+/// inside the network; the watchdog's stall report comes back as a
+/// structured error instead of a panic (a saturated rate can livelock the
+/// fabric legitimately — that is a failed row, not a dead sweep).
+/// `config` must already carry the scenario's degraded link (see
+/// [`degraded_config`]). With `faults` absent or transient-free the run
+/// is built over [`NullFaultModel`], which compiles the fault path out.
 pub fn run_one_policy_faults(
     config: Arc<ProcessorConfig>,
     profile: BenchmarkProfile,
@@ -536,106 +261,197 @@ pub fn run_one_policy_faults(
     policy: PolicyKind,
     faults: Option<&FaultSpec>,
 ) -> Result<SimResults, Box<StallReport>> {
-    let trace = TraceGenerator::new(profile, SEED);
-    let Some(spec) = faults.filter(|s| s.has_transient()) else {
-        return Ok(run_one_policy(config, profile, scale, policy));
-    };
-    let inj = spec.injector();
+    let injector = faults
+        .filter(|s| s.has_transient())
+        .map(FaultSpec::injector);
     match policy {
-        PolicyKind::Paper => {
-            let p = PaperPolicy::new(&config);
-            Processor::with_faults_shared(config, trace, NullProbe, p, inj)
-                .try_run(scale.window, scale.warmup)
-        }
-        PolicyKind::Spray => {
-            let p = SprayPolicy::new(&config.link);
-            Processor::with_faults_shared(config, trace, NullProbe, p, inj)
-                .try_run(scale.window, scale.warmup)
-        }
-        PolicyKind::Criticality => {
-            let p = CriticalityPolicy::new(&config);
-            Processor::with_faults_shared(config, trace, NullProbe, p, inj)
-                .try_run(scale.window, scale.warmup)
-        }
-        PolicyKind::PwFirst => {
-            let p = PwFirstPolicy::new(&config);
-            Processor::with_faults_shared(config, trace, NullProbe, p, inj)
-                .try_run(scale.window, scale.warmup)
-        }
-        PolicyKind::Oracle => {
-            let p = OraclePolicy::new(&config);
-            Processor::with_faults_shared(config, trace, NullProbe, p, inj)
-                .try_run(scale.window, scale.warmup)
-        }
+        PolicyKind::Paper => drive(PaperPolicy::new(&config), config, profile, scale, injector),
+        PolicyKind::Spray => drive(
+            SprayPolicy::new(&config.link),
+            config,
+            profile,
+            scale,
+            injector,
+        ),
+        PolicyKind::Criticality => drive(
+            CriticalityPolicy::new(&config),
+            config,
+            profile,
+            scale,
+            injector,
+        ),
+        PolicyKind::PwFirst => drive(
+            PwFirstPolicy::new(&config),
+            config,
+            profile,
+            scale,
+            injector,
+        ),
+        PolicyKind::Oracle => drive(OraclePolicy::new(&config), config, profile, scale, injector),
     }
 }
 
-/// Collects every repeated `--faults <spec>` flag in CLI order. Malformed
-/// tokens and exact duplicates (by canonical name) are errors; binaries
-/// report them and exit 2, matching the `--model` convention.
-pub fn fault_specs_from_args(args: &[String]) -> Result<Vec<FaultSpec>, String> {
-    let mut specs: Vec<FaultSpec> = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        if args[i] == "--faults" {
-            let token = args
-                .get(i + 1)
-                .ok_or("--faults needs a fault spec (e.g. --faults l@2e-4)")?;
-            let spec = FaultSpec::parse(token).map_err(|e| format!("--faults {token:?}: {e}"))?;
-            if specs.iter().any(|s| s.name() == spec.name()) {
-                return Err(format!("duplicate --faults {token:?}"));
-            }
-            specs.push(spec);
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    Ok(specs)
-}
-
-/// Runs every (model × policy × benchmark) triple of a policy race as one
-/// flattened job list on the shared executor. Returns suites indexed
-/// `[model][policy]` in the given orders.
-pub fn policy_sweep_runs(
-    models: &ModelSet,
-    policies: &[PolicyKind],
-    topology: Topology,
+/// [`run_one_policy_faults`] once the policy type is known: monomorphizes
+/// the processor over it and over the fault model.
+fn drive<T: TransferPolicy>(
+    policy: T,
+    config: Arc<ProcessorConfig>,
+    profile: BenchmarkProfile,
     scale: RunScale,
-    workers: usize,
-) -> Vec<Vec<SuiteResults>> {
-    assert!(
-        !policies.is_empty(),
-        "a policy race needs at least one policy"
-    );
-    let profiles = spec2000();
-    let names: Vec<&'static str> = profiles.iter().map(|p| p.name).collect();
-    let configs: Vec<Arc<ProcessorConfig>> = models
-        .specs()
-        .iter()
-        .map(|spec| Arc::new(ProcessorConfig::for_model_spec(spec, topology)))
-        .collect();
-    let mut jobs: Vec<(usize, PolicyKind, BenchmarkProfile)> =
-        Vec::with_capacity(configs.len() * policies.len() * profiles.len());
-    for mi in 0..configs.len() {
-        for &pk in policies {
-            for &p in &profiles {
-                jobs.push((mi, pk, p));
-            }
+    injector: Option<InjectedFaults>,
+) -> Result<SimResults, Box<StallReport>> {
+    let trace = TraceGenerator::new(profile, SEED);
+    match injector {
+        None => Processor::with_faults_shared(config, trace, NullProbe, policy, NullFaultModel)
+            .try_run(scale.window, scale.warmup),
+        Some(inj) => Processor::with_faults_shared(config, trace, NullProbe, policy, inj)
+            .try_run(scale.window, scale.warmup),
+    }
+}
+
+/// One design point of a sweep: a shared machine configuration, the
+/// steering policy driving its wires and an optional fault scenario.
+/// `config` must already carry the scenario's degraded link (see
+/// [`degraded_config`]).
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// The machine, shared by every benchmark job of the cell.
+    pub config: Arc<ProcessorConfig>,
+    /// The steering policy.
+    pub policy: PolicyKind,
+    /// The fault scenario, if any.
+    pub faults: Option<FaultSpec>,
+}
+
+impl Cell {
+    /// The paper's policy on a fault-free `config` — the machine every
+    /// table and figure runs.
+    pub fn new(config: ProcessorConfig) -> Self {
+        Cell {
+            config: Arc::new(config),
+            policy: PolicyKind::Paper,
+            faults: None,
         }
     }
-    let results = executor::run_indexed(jobs, workers, |(mi, pk, profile)| {
-        run_one_policy(configs[mi].clone(), profile, scale, pk)
-    });
-    results
-        .chunks(names.len())
-        .map(|runs| SuiteResults {
-            names: names.clone(),
-            runs: runs.to_vec(),
+
+    /// Runs one benchmark of this cell through [`run_one_policy_faults`].
+    pub fn run(
+        &self,
+        profile: BenchmarkProfile,
+        scale: RunScale,
+    ) -> Result<SimResults, Box<StallReport>> {
+        run_one_policy_faults(
+            self.config.clone(),
+            profile,
+            scale,
+            self.policy,
+            self.faults.as_ref(),
+        )
+    }
+}
+
+/// One cell per policy, all sharing one configuration and fault scenario:
+/// one model's row of a policy race.
+pub fn policy_cells(
+    config: ProcessorConfig,
+    policies: &[PolicyKind],
+    faults: Option<&FaultSpec>,
+) -> Vec<Cell> {
+    let config = Arc::new(config);
+    policies
+        .iter()
+        .map(|&policy| Cell {
+            config: config.clone(),
+            policy,
+            faults: faults.cloned(),
         })
-        .collect::<Vec<_>>()
-        .chunks(policies.len())
-        .map(|s| s.to_vec())
+        .collect()
+}
+
+/// One paper-policy, fault-free cell per model on `topology`: the grid of
+/// a Table-3/4 model sweep.
+pub fn model_cells(models: &[ModelSpec], topology: Topology) -> Vec<Cell> {
+    models
+        .iter()
+        .map(|spec| Cell::new(ProcessorConfig::for_model_spec(spec, topology)))
+        .collect()
+}
+
+/// Runs every cell over the 23-benchmark suite as one flattened
+/// (cell × benchmark) job list on the shared executor and returns one
+/// suite per cell, in cell order. A cell with a stalled or panicking
+/// benchmark is an `Err` naming the first such benchmark; every other
+/// cell still completes. Runs are independent and deterministic, so the
+/// worker count changes nothing but wall-clock time: the result equals
+/// [`sweep_serial`] bit for bit.
+pub fn sweep(cells: &[Cell], scale: RunScale, workers: usize) -> Vec<Result<SuiteResults, String>> {
+    let profiles = spec2000();
+    let jobs: Vec<(&Cell, BenchmarkProfile)> = cells
+        .iter()
+        .flat_map(|cell| profiles.iter().map(move |&p| (cell, p)))
+        .collect();
+    let outcomes: Vec<Result<SimResults, String>> =
+        executor::run_indexed_catching(jobs, workers, |(cell, profile)| cell.run(profile, scale))
+            .into_iter()
+            .map(|outcome| match outcome {
+                Ok(Ok(r)) => Ok(r),
+                Ok(Err(stall)) => Err(stall.to_string()),
+                Err(panic) => Err(panic.to_string()),
+            })
+            .collect();
+    outcomes
+        .chunks(profiles.len())
+        .map(|chunk| collect_suite(&profiles, chunk.iter().cloned()))
+        .collect()
+}
+
+/// The plain-loop reference for [`sweep`]: every cell's benchmarks in
+/// order on the calling thread. The determinism test and `sweep_timing`
+/// assert that the executor reproduces it bit for bit.
+pub fn sweep_serial(cells: &[Cell], scale: RunScale) -> Vec<Result<SuiteResults, String>> {
+    let profiles = spec2000();
+    cells
+        .iter()
+        .map(|cell| {
+            let runs = profiles
+                .iter()
+                .map(|&p| cell.run(p, scale).map_err(|e| e.to_string()));
+            collect_suite(&profiles, runs)
+        })
+        .collect()
+}
+
+/// Folds one cell's per-benchmark outcomes into a suite; the first failure
+/// fails the cell.
+fn collect_suite(
+    profiles: &[BenchmarkProfile],
+    outcomes: impl Iterator<Item = Result<SimResults, String>>,
+) -> Result<SuiteResults, String> {
+    let runs = profiles
+        .iter()
+        .zip(outcomes)
+        .map(|(p, outcome)| outcome.map_err(|e| format!("{}: {e}", p.name)))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(SuiteResults {
+        names: profiles.iter().map(|p| p.name).collect(),
+        runs,
+    })
+}
+
+/// Unwraps runs that must all complete (every fault-free harness
+/// binary): a failure is a simulator defect, not a result, so it is
+/// reported on stderr and the process exits 1.
+pub fn completed<T, E: std::fmt::Display>(
+    results: impl IntoIterator<Item = Result<T, E>>,
+) -> Vec<T> {
+    results
+        .into_iter()
+        .map(|r| {
+            r.unwrap_or_else(|e| {
+                eprintln!("run failed: {e}");
+                std::process::exit(1)
+            })
+        })
         .collect()
 }
 
@@ -668,17 +484,8 @@ pub fn policy_metric_rows(
     let baseline = &suites[0];
     let mut rows = Vec::new();
     for (&pk, suite) in policies.iter().zip(suites) {
-        let reports = |params: EnergyParams| -> RelativeReport {
-            let rs: Vec<_> = suite
-                .runs
-                .iter()
-                .zip(&baseline.runs)
-                .map(|(m, b)| relative_report(m, b, params))
-                .collect();
-            mean_report(&rs)
-        };
-        let at_10 = reports(EnergyParams::ten_percent());
-        let at_20 = reports(EnergyParams::twenty_percent());
+        let at_10 = suite.relative_to(baseline, EnergyParams::ten_percent());
+        let at_20 = suite.relative_to(baseline, EnergyParams::twenty_percent());
         let ic_dyn: f64 = suite.runs.iter().map(|r| r.net.dynamic_energy).sum();
         let label = pk.name();
         rows.push(MetricRow::new(&section, label, "am_ipc", suite.mean_ipc()));
@@ -724,15 +531,6 @@ pub fn format_policy_table(
         "ED2(20%)"
     );
     for (&pk, suite) in policies.iter().zip(suites) {
-        let rel = |params: EnergyParams| {
-            let rs: Vec<_> = suite
-                .runs
-                .iter()
-                .zip(&baseline.runs)
-                .map(|(m, b)| relative_report(m, b, params))
-                .collect();
-            mean_report(&rs).rel_ed2
-        };
         out.push_str(&format!(
             "{:<12} {:>6.3} {:>6.1} {:>6.1} {:>6.1} {:>10.0} {:>9.1} {:>9.1}\n",
             pk.name(),
@@ -741,15 +539,19 @@ pub fn format_policy_table(
             suite_class_share(suite, WireClass::Pw),
             suite_class_share(suite, WireClass::L),
             suite.runs.iter().map(|r| r.net.dynamic_energy).sum::<f64>(),
-            rel(EnergyParams::ten_percent()),
-            rel(EnergyParams::twenty_percent()),
+            suite
+                .relative_to(baseline, EnergyParams::ten_percent())
+                .rel_ed2,
+            suite
+                .relative_to(baseline, EnergyParams::twenty_percent())
+                .rel_ed2,
         ));
     }
     out
 }
 
-/// Per-benchmark results of one model over the whole suite.
-#[derive(Debug, Clone)]
+/// Per-benchmark results of one cell over the whole suite.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuiteResults {
     /// Benchmark names, in suite order.
     pub names: Vec<&'static str>,
@@ -762,25 +564,18 @@ impl SuiteResults {
     pub fn mean_ipc(&self) -> f64 {
         heterowire_core::mean_ipc(&self.runs)
     }
-}
 
-/// Runs the full 23-benchmark suite under a configuration on the shared
-/// work-queue executor, sized to the host's hardware threads. Runs are
-/// independent and deterministic, so parallelism changes nothing but
-/// wall-clock time.
-pub fn run_suite(config: &ProcessorConfig, scale: RunScale) -> SuiteResults {
-    run_suite_on(config, scale, executor::default_workers())
-}
-
-/// [`run_suite`] with an explicit worker count (`1` = serial).
-pub fn run_suite_on(config: &ProcessorConfig, scale: RunScale, workers: usize) -> SuiteResults {
-    let profiles = spec2000();
-    let names: Vec<&'static str> = profiles.iter().map(|p| p.name).collect();
-    let shared = Arc::new(config.clone());
-    let runs = executor::run_indexed(profiles, workers, |p| {
-        run_one_shared(shared.clone(), p, scale)
-    });
-    SuiteResults { names, runs }
+    /// This suite relative to `baseline`, run for run: the mean of the
+    /// per-benchmark [`relative_report`]s at the given energy fraction.
+    pub fn relative_to(&self, baseline: &SuiteResults, params: EnergyParams) -> RelativeReport {
+        let reports: Vec<_> = self
+            .runs
+            .iter()
+            .zip(&baseline.runs)
+            .map(|(m, b)| relative_report(m, b, params))
+            .collect();
+        mean_report(&reports)
+    }
 }
 
 /// One row of the regenerated Table 3/4.
@@ -798,131 +593,22 @@ pub struct ModelRow {
     pub at_20: RelativeReport,
 }
 
-/// Runs every (model × benchmark) pair of a model sweep as one flattened
-/// job list on the shared executor, returning one [`SuiteResults`] per
-/// model in set order. The first model runs exactly once; its runs double
-/// as the baseline for every row.
-pub fn sweep_runs_set(
-    models: &ModelSet,
-    topology: Topology,
-    scale: RunScale,
-    workers: usize,
-) -> Vec<SuiteResults> {
-    let profiles = spec2000();
-    let names: Vec<&'static str> = profiles.iter().map(|p| p.name).collect();
-    // One shared config per model; jobs carry an index into it plus a
-    // by-value (`Copy`) profile — nothing is cloned per job.
-    let configs: Vec<Arc<ProcessorConfig>> = models
-        .specs()
-        .iter()
-        .map(|spec| Arc::new(ProcessorConfig::for_model_spec(spec, topology)))
-        .collect();
-    let jobs: Vec<(usize, BenchmarkProfile)> = (0..configs.len())
-        .flat_map(|mi| profiles.iter().map(move |&p| (mi, p)))
-        .collect();
-    let results = executor::run_indexed(jobs, workers, |(mi, profile)| {
-        run_one_shared(configs[mi].clone(), profile, scale)
-    });
-    results
-        .chunks(names.len())
-        .map(|runs| SuiteResults {
-            names: names.clone(),
-            runs: runs.to_vec(),
-        })
-        .collect()
-}
-
-/// [`sweep_runs_set`] over the paper's Models I–X.
-pub fn sweep_runs(topology: Topology, scale: RunScale, workers: usize) -> Vec<SuiteResults> {
-    sweep_runs_set(&ModelSet::paper(), topology, scale, workers)
-}
-
-/// Serial reference for [`sweep_runs_set`]: the seed's original shape — a
-/// plain nested loop over models and benchmarks on the calling thread.
-/// Kept so the determinism test can assert the parallel path is
-/// bit-identical.
-pub fn sweep_runs_serial_set(
-    models: &ModelSet,
-    topology: Topology,
-    scale: RunScale,
-) -> Vec<SuiteResults> {
-    let profiles = spec2000();
-    let names: Vec<&'static str> = profiles.iter().map(|p| p.name).collect();
-    models
-        .specs()
-        .iter()
-        .map(|spec| {
-            let runs = profiles
-                .iter()
-                .map(|&p| run_one(ProcessorConfig::for_model_spec(spec, topology), p, scale))
-                .collect();
-            SuiteResults {
-                names: names.clone(),
-                runs,
-            }
-        })
-        .collect()
-}
-
-/// [`sweep_runs_serial_set`] over the paper's Models I–X.
-pub fn sweep_runs_serial(topology: Topology, scale: RunScale) -> Vec<SuiteResults> {
-    sweep_runs_serial_set(&ModelSet::paper(), topology, scale)
-}
-
-/// Builds Table-3/4-style rows from per-model suite results; `suites[0]`
-/// (the set's first model) is the baseline every row is normalised
-/// against.
-pub fn rows_from_runs_set(models: &ModelSet, suites: &[SuiteResults]) -> Vec<ModelRow> {
+/// Builds Table-3/4-style rows from per-model suites; `suites[0]` (the
+/// first model's) is the baseline every row is normalised against.
+pub fn model_rows(models: &[ModelSpec], suites: &[SuiteResults]) -> Vec<ModelRow> {
     assert_eq!(suites.len(), models.len());
     let baseline = &suites[0];
     models
-        .specs()
         .iter()
         .zip(suites)
-        .map(|(model, suite)| {
-            let reports_10: Vec<_> = suite
-                .runs
-                .iter()
-                .zip(&baseline.runs)
-                .map(|(m, b)| relative_report(m, b, EnergyParams::ten_percent()))
-                .collect();
-            let reports_20: Vec<_> = suite
-                .runs
-                .iter()
-                .zip(&baseline.runs)
-                .map(|(m, b)| relative_report(m, b, EnergyParams::twenty_percent()))
-                .collect();
-            ModelRow {
-                model: model.clone(),
-                description: model.description(),
-                metal_area: model.relative_metal_area(),
-                at_10: mean_report(&reports_10),
-                at_20: mean_report(&reports_20),
-            }
+        .map(|(model, suite)| ModelRow {
+            model: model.clone(),
+            description: model.description(),
+            metal_area: model.relative_metal_area(),
+            at_10: suite.relative_to(baseline, EnergyParams::ten_percent()),
+            at_20: suite.relative_to(baseline, EnergyParams::twenty_percent()),
         })
         .collect()
-}
-
-/// [`rows_from_runs_set`] over the paper's Models I–X (the suites must be
-/// a full I–X sweep in table order).
-pub fn rows_from_runs(suites: &[SuiteResults]) -> Vec<ModelRow> {
-    rows_from_runs_set(&ModelSet::paper(), suites)
-}
-
-/// Regenerates a Table-3/4-style model sweep on the given topology.
-/// Returns one row per model in the set, each relative to the set's first
-/// model. All (model × benchmark) runs execute on one executor pool sized
-/// to the host's hardware threads.
-pub fn model_sweep_set(models: &ModelSet, topology: Topology, scale: RunScale) -> Vec<ModelRow> {
-    rows_from_runs_set(
-        models,
-        &sweep_runs_set(models, topology, scale, executor::default_workers()),
-    )
-}
-
-/// [`model_sweep_set`] over the paper's Models I–X.
-pub fn model_sweep(topology: Topology, scale: RunScale) -> Vec<ModelRow> {
-    model_sweep_set(&ModelSet::paper(), topology, scale)
 }
 
 /// Formats a model sweep as an aligned text table (Table-3 layout).
@@ -998,8 +684,14 @@ pub fn format_model_csv(rows: &[ModelRow]) -> String {
     out
 }
 
-/// Formats per-benchmark suite results as CSV (one row per benchmark).
-pub fn format_suite_csv(suite: &SuiteResults) -> String {
+/// Formats labelled per-benchmark suites as CSV: one block per suite (a
+/// header, then one row per benchmark), blank-line separated.
+pub fn format_suite_csv(suites: &[(&str, &SuiteResults)]) -> String {
+    let blocks: Vec<String> = suites.iter().map(|(_, s)| suite_csv_block(s)).collect();
+    blocks.join("\n")
+}
+
+fn suite_csv_block(suite: &SuiteResults) -> String {
     let mut out = String::from(
         "benchmark,instructions,cycles,ipc,transfers_per_inst,\
          ic_dynamic_energy,l1_misses,l2_misses,mispredict_rate,\
@@ -1125,76 +817,13 @@ pub fn format_table2_json(rows: &[Table2Row]) -> String {
     w.finish()
 }
 
-/// Parses an optional `--<flag> <path>` argument pair from an argument
-/// list. A flag without a following path is an error rather than a silent
-/// `None` (the caller asked for an artifact and would not get one).
-pub fn flag_path_from(args: &[String], flag: &str) -> Result<Option<std::path::PathBuf>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(p) => Ok(Some(std::path::PathBuf::from(p))),
-            None => Err(format!("{flag} requires a path argument")),
-        },
-    }
-}
-
-/// [`flag_path_from`] for the original `--csv` flag (kept for callers that
-/// only emit CSV).
-pub fn csv_path_from(args: &[String]) -> Result<Option<std::path::PathBuf>, String> {
-    flag_path_from(args, "--csv")
-}
-
-/// [`csv_path_from`] over `std::env::args`; exits with status 2 on a
-/// malformed `--csv` (same convention as `sweep_timing`'s flag handling).
-pub fn csv_path_from_args() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    match csv_path_from(&args) {
-        Ok(path) => path,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The machine-readable outputs a harness binary was asked for.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ArtifactPaths {
-    /// `--csv <path>` destination, if requested.
-    pub csv: Option<std::path::PathBuf>,
-    /// `--json <path>` destination, if requested.
-    pub json: Option<std::path::PathBuf>,
-}
-
-/// Parses the `--csv` / `--json` artifact flags shared by the harness
-/// binaries.
-pub fn artifact_paths_from(args: &[String]) -> Result<ArtifactPaths, String> {
-    Ok(ArtifactPaths {
-        csv: flag_path_from(args, "--csv")?,
-        json: flag_path_from(args, "--json")?,
-    })
-}
-
-/// [`artifact_paths_from`] over `std::env::args`; exits with status 2 on a
-/// malformed flag.
-pub fn artifact_paths_from_args() -> ArtifactPaths {
-    let args: Vec<String> = std::env::args().collect();
-    match artifact_paths_from(&args) {
-        Ok(paths) => paths,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// Writes one artifact file, logging the destination (the binaries' shared
 /// write-and-announce convention). A filesystem refusal (missing
 /// permission, read-only mount, bad path) exits with status 2 naming the
 /// path, matching the binaries' malformed-flag convention — results are
 /// the whole point of a sweep, so a silent or cryptic loss is not
 /// acceptable.
-pub fn write_artifact(path: &std::path::Path, contents: &str) {
+pub fn write_artifact(path: &Path, contents: &str) {
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         if let Err(e) = std::fs::create_dir_all(parent) {
             eprintln!("cannot create artifact directory {}: {e}", parent.display());
@@ -1206,44 +835,6 @@ pub fn write_artifact(path: &std::path::Path, contents: &str) {
         std::process::exit(2);
     }
     eprintln!("wrote {}", path.display());
-}
-
-/// Emits the requested `--csv` / `--json` artifacts for a model sweep.
-pub fn emit_model_artifacts(rows: &[ModelRow], paths: &ArtifactPaths) {
-    if let Some(path) = &paths.csv {
-        write_artifact(path, &format_model_csv(rows));
-    }
-    if let Some(path) = &paths.json {
-        write_artifact(path, &format_model_json(rows));
-    }
-}
-
-/// Emits the requested `--csv` / `--json` artifacts for labelled
-/// per-benchmark suites. The CSV keeps the historical shape — one
-/// [`format_suite_csv`] block per suite, blank-line separated.
-pub fn emit_suite_artifacts(suites: &[(&str, &SuiteResults)], paths: &ArtifactPaths) {
-    if let Some(path) = &paths.csv {
-        let csv = suites
-            .iter()
-            .map(|(_, s)| format_suite_csv(s))
-            .collect::<Vec<_>>()
-            .join("\n");
-        write_artifact(path, &csv);
-    }
-    if let Some(path) = &paths.json {
-        write_artifact(path, &format_suite_json(suites));
-    }
-}
-
-/// Emits the requested `--csv` / `--json` artifacts for (a subset of) the
-/// Table-2 wire-parameter rows.
-pub fn emit_table2_artifacts(rows: &[Table2Row], paths: &ArtifactPaths) {
-    if let Some(path) = &paths.csv {
-        write_artifact(path, &format_table2_csv(rows));
-    }
-    if let Some(path) = &paths.json {
-        write_artifact(path, &format_table2_json(rows));
-    }
 }
 
 /// One labelled scalar from an ablation or sensitivity study: the
@@ -1307,39 +898,326 @@ pub fn format_metric_json(rows: &[MetricRow]) -> String {
     w.finish()
 }
 
-/// Emits the requested `--csv` / `--json` artifacts for study metrics
-/// (the shared back end of the `ablation` and `sensitivity` binaries).
-pub fn emit_metric_artifacts(rows: &[MetricRow], paths: &ArtifactPaths) {
-    if let Some(path) = &paths.csv {
-        write_artifact(path, &format_metric_csv(rows));
-    }
-    if let Some(path) = &paths.json {
-        write_artifact(path, &format_metric_json(rows));
+/// The kind of value a flag takes, which decides how the parser checks it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Value {
+    /// A model token: a preset (`VII`) or `custom:<spec>` (see
+    /// [`ModelSpec::parse`]).
+    Model,
+    /// A topology token (see [`parse_topology_token`]).
+    Topology,
+    /// Comma-separated steering-policy names (see [`PolicyKind::parse`]);
+    /// a name may appear only once across all occurrences.
+    Policies,
+    /// A fault-scenario token (see [`FaultSpec::parse`]); exact
+    /// duplicates are refused.
+    Faults,
+    /// A SPEC2000 benchmark name.
+    Benchmark,
+    /// A positive integer.
+    Count,
+    /// Free text (a path or a label); the string is its usage placeholder.
+    Text(&'static str),
+    /// Takes no value: prints usage and exits 0.
+    Help,
+}
+
+impl Value {
+    fn placeholder(self) -> &'static str {
+        match self {
+            Value::Model => "MODEL",
+            Value::Topology => "TOPOLOGY",
+            Value::Policies => "POLICY[,POLICY...]",
+            Value::Faults => "FAULTS",
+            Value::Benchmark => "BENCH",
+            Value::Count => "N",
+            Value::Text(placeholder) => placeholder,
+            Value::Help => "",
+        }
     }
 }
 
-/// The whole shared spine of the `table3`/`table4` binaries: read the
-/// scale from the environment, resolve a `--topology` override against
-/// `default_topology` (a preset, spec or spec-file token), collect any
-/// repeated `--model` overrides (default: the paper's Models I–X; the
-/// first model given is the normalisation baseline), sweep them, and
-/// write any `--csv` / `--json` artifacts requested on the command line.
-/// Returns the resolved topology alongside the rows so callers can label
-/// their output.
-pub fn model_sweep_main(default_topology: &str) -> (TopologySpec, Vec<ModelRow>) {
-    let scale = RunScale::from_env();
-    let spec = topology_override_or(default_topology);
-    let models = ModelSet::from_args_or_paper();
-    let names: Vec<String> = models.specs().iter().map(|s| s.name()).collect();
+/// One flag a harness binary accepts.
+#[derive(Debug, Clone, Copy)]
+pub struct Flag {
+    /// The flag itself, e.g. `--model`.
+    pub name: &'static str,
+    /// What its value is.
+    pub value: Value,
+    /// Whether it may repeat; repeated values accumulate in command-line
+    /// order. A non-repeatable flag given twice is an error.
+    pub repeat: bool,
+    /// The values used when the flag is absent, checked like typed ones.
+    pub default: &'static [&'static str],
+}
+
+impl Flag {
+    /// A flag given at most once.
+    pub const fn one(name: &'static str, value: Value, default: &'static [&'static str]) -> Flag {
+        Flag {
+            name,
+            value,
+            repeat: false,
+            default,
+        }
+    }
+
+    /// A repeatable flag.
+    pub const fn many(name: &'static str, value: Value, default: &'static [&'static str]) -> Flag {
+        Flag {
+            name,
+            value,
+            repeat: true,
+            default,
+        }
+    }
+}
+
+/// `--csv PATH`: the CSV artifact destination.
+pub const CSV: Flag = Flag::one("--csv", Value::Text("PATH"), &[]);
+/// `--json PATH`: the JSON artifact destination.
+pub const JSON: Flag = Flag::one("--json", Value::Text("PATH"), &[]);
+/// `--help` / `-h`: print usage and exit 0.
+pub const HELP: Flag = Flag::one("--help", Value::Help, &[]);
+
+/// The command-line grammar of one harness binary: the flags it accepts
+/// (with their defaults) and its optional positional argument. Each
+/// binary declares its grammar as a constant, so its defaults live in one
+/// table at the top of its source.
+#[derive(Debug, Clone, Copy)]
+pub struct Grammar {
+    /// The binary's name, for the usage line.
+    pub name: &'static str,
+    /// One line on what the binary does, printed under the usage line.
+    pub about: &'static str,
+    /// Every flag the binary accepts; any other flag is an error.
+    pub flags: &'static [Flag],
+    /// The values the optional positional argument may take; empty when
+    /// the binary takes none.
+    pub positional: &'static [&'static str],
+}
+
+impl Grammar {
+    /// The usage text: one synopsis line plus [`Grammar::about`].
+    pub fn usage(&self) -> String {
+        let mut out = format!("usage: {}", self.name);
+        for f in self.flags {
+            match f.value {
+                Value::Help => out.push_str(&format!(" [{}]", f.name)),
+                v => out.push_str(&format!(
+                    " [{} {}]{}",
+                    f.name,
+                    v.placeholder(),
+                    if f.repeat { "..." } else { "" }
+                )),
+            }
+        }
+        if !self.positional.is_empty() {
+            out.push_str(&format!(" [{}]", self.positional.join("|")));
+        }
+        format!("{out}\n{}", self.about)
+    }
+
+    /// Reads `std::env::args` and `HETEROWIRE_SCALE` once into [`Args`].
+    /// Any error exits 2 with the message and usage on stderr, before
+    /// anything runs; `--help` (when declared) prints usage and exits 0.
+    pub fn parse(&self) -> Args {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        let scale = std::env::var("HETEROWIRE_SCALE").ok();
+        match self.parse_from(&argv, scale.as_deref()) {
+            Ok(Some(args)) => args,
+            Ok(None) => {
+                println!("{}", self.usage());
+                std::process::exit(0)
+            }
+            Err(e) => {
+                eprintln!("{e}\n{}", self.usage());
+                std::process::exit(2)
+            }
+        }
+    }
+
+    /// [`Grammar::parse`] over explicit inputs: `argv` without the program
+    /// name and the `HETEROWIRE_SCALE` value. `Ok(None)` means `--help`.
+    pub fn parse_from(&self, argv: &[String], scale: Option<&str>) -> Result<Option<Args>, String> {
+        let mut args = Args {
+            scale: RunScale::from_env_value(scale)?,
+            models: Vec::new(),
+            topologies: Vec::new(),
+            policies: Vec::new(),
+            faults: Vec::new(),
+            positional: None,
+            text: Vec::new(),
+        };
+        let mut given: Vec<(&Flag, &str)> = Vec::new();
+        let mut argv = argv.iter();
+        while let Some(arg) = argv.next() {
+            let name = if arg == "-h" { "--help" } else { arg.as_str() };
+            if let Some(flag) = self.flags.iter().find(|f| f.name == name) {
+                if flag.value == Value::Help {
+                    return Ok(None);
+                }
+                if !flag.repeat && given.iter().any(|(f, _)| f.name == flag.name) {
+                    return Err(format!("{} given more than once", flag.name));
+                }
+                let value = argv
+                    .next()
+                    .ok_or_else(|| format!("{} requires a value", flag.name))?;
+                given.push((flag, value.as_str()));
+            } else if arg.starts_with('-') {
+                return Err(format!("unknown flag {arg:?}"));
+            } else if self.positional.is_empty() || args.positional.is_some() {
+                return Err(format!("unexpected argument {arg:?}"));
+            } else if !self.positional.contains(&arg.as_str()) {
+                return Err(format!(
+                    "unknown argument {arg:?}; expected one of {}",
+                    self.positional.join(", ")
+                ));
+            } else {
+                args.positional = Some(arg.clone());
+            }
+        }
+        for flag in self.flags {
+            let mut values: Vec<&str> = given
+                .iter()
+                .filter(|(f, _)| f.name == flag.name)
+                .map(|&(_, v)| v)
+                .collect();
+            if values.is_empty() {
+                values = flag.default.to_vec();
+            }
+            for value in values {
+                args.push(flag, value)?;
+            }
+        }
+        // Combinations no single token reveals: a policy raced on a model
+        // lacking its defining plane, and a stuck-lane scenario that
+        // leaves a model no full-width plane.
+        for model in &args.models {
+            for policy in &args.policies {
+                policy.check_supported(model)?;
+            }
+            for topology in &args.topologies {
+                for spec in &args.faults {
+                    degraded_config(model, topology.topology(), Some(spec))
+                        .map_err(|e| format!("--faults {spec}: {e}"))?;
+                }
+            }
+        }
+        Ok(Some(args))
+    }
+}
+
+/// A harness binary's parsed command line: the shared typed flags, the
+/// run scale and the binary's own values, defaults already applied.
+#[derive(Debug, Clone)]
+pub struct Args {
+    /// The `HETEROWIRE_SCALE` run scale.
+    pub scale: RunScale,
+    /// `--model` values in command-line order; the first is the
+    /// normalisation baseline.
+    pub models: Vec<ModelSpec>,
+    /// `--topology` values in command-line order.
+    pub topologies: Vec<TopologySpec>,
+    /// `--policy` names in command-line order; the first is the ED²
+    /// baseline.
+    pub policies: Vec<PolicyKind>,
+    /// `--faults` scenarios in command-line order.
+    pub faults: Vec<FaultSpec>,
+    /// The positional argument, when given.
+    pub positional: Option<String>,
+    /// Every other flag's value, by flag name.
+    text: Vec<(&'static str, String)>,
+}
+
+impl Args {
+    /// Checks one flag value and files it under its kind.
+    fn push(&mut self, flag: &Flag, value: &str) -> Result<(), String> {
+        let name = flag.name;
+        match flag.value {
+            Value::Model => self
+                .models
+                .push(ModelSpec::parse(value).map_err(|e| format!("{name} {value:?}: {e}"))?),
+            Value::Topology => self.topologies.push(parse_topology_token(value)?),
+            Value::Policies => {
+                for token in value.split(',') {
+                    let policy =
+                        PolicyKind::parse(token).map_err(|e| format!("{name} {value:?}: {e}"))?;
+                    if self.policies.contains(&policy) {
+                        return Err(format!("policy {token:?} given more than once"));
+                    }
+                    self.policies.push(policy);
+                }
+            }
+            Value::Faults => {
+                let spec = FaultSpec::parse(value).map_err(|e| format!("{name} {value:?}: {e}"))?;
+                if self.faults.iter().any(|s| s.name() == spec.name()) {
+                    return Err(format!("duplicate {name} {value:?}"));
+                }
+                self.faults.push(spec);
+            }
+            Value::Benchmark if by_name(value).is_none() => {
+                return Err(format!("{name} {value:?}: unknown benchmark"));
+            }
+            Value::Count if !value.parse::<u64>().is_ok_and(|n| n >= 1) => {
+                return Err(format!("{name} {value:?}: expected a positive integer"));
+            }
+            Value::Benchmark | Value::Count | Value::Text(_) => {
+                self.text.push((name, value.to_string()));
+            }
+            Value::Help => {}
+        }
+        Ok(())
+    }
+
+    /// The first `--model` — the study machine of a single-model binary.
+    pub fn model(&self) -> &ModelSpec {
+        &self.models[0]
+    }
+
+    /// The first `--topology` — the fabric of a single-topology binary.
+    pub fn topology(&self) -> &TopologySpec {
+        &self.topologies[0]
+    }
+
+    /// The value of one of the binary's own flags (its default when
+    /// absent); `None` when neither was given.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.text
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Writes whichever of the `--csv` / `--json` artifacts was asked
+    /// for, rendering only those.
+    pub fn write_artifacts(&self, csv: impl FnOnce() -> String, json: impl FnOnce() -> String) {
+        if let Some(path) = self.value("--csv") {
+            write_artifact(Path::new(path), &csv());
+        }
+        if let Some(path) = self.value("--json") {
+            write_artifact(Path::new(path), &json());
+        }
+    }
+}
+
+/// The whole spine of the `table3`/`table4` binaries: sweep every
+/// `--model` (the first is the normalisation baseline) on the
+/// `--topology`, and write any `--csv` / `--json` artifacts requested.
+pub fn model_sweep_main(args: &Args) -> Vec<ModelRow> {
+    let spec = args.topology();
+    let names: Vec<String> = args.models.iter().map(|s| s.name()).collect();
     eprintln!(
         "sweeping {} on {} ({} clusters) x 23 benchmarks ...",
         names.join(", "),
         spec.name(),
         spec.topology().clusters()
     );
-    let rows = model_sweep_set(&models, spec.topology(), scale);
-    emit_model_artifacts(&rows, &artifact_paths_from_args());
-    (spec, rows)
+    let cells = model_cells(&args.models, spec.topology());
+    let suites = completed(sweep(&cells, args.scale, executor::default_workers()));
+    let rows = model_rows(&args.models, &suites);
+    args.write_artifacts(|| format_model_csv(&rows), || format_model_json(&rows));
+    rows
 }
 
 #[cfg(test)]
@@ -1369,15 +1247,37 @@ mod tests {
         fields
     }
 
+    fn tiny() -> RunScale {
+        RunScale {
+            window: 1_000,
+            warmup: 200,
+        }
+    }
+
+    /// Every cell of a sweep that must complete.
+    fn ok(results: Vec<Result<SuiteResults, String>>) -> Vec<SuiteResults> {
+        results.into_iter().map(Result::unwrap).collect()
+    }
+
+    /// The paper-policy suite of one configuration.
+    fn suite_of(config: ProcessorConfig, scale: RunScale, workers: usize) -> SuiteResults {
+        ok(sweep(&[Cell::new(config)], scale, workers)).remove(0)
+    }
+
+    /// Models I–X on the 4-cluster crossbar, as Table-3 rows.
+    fn paper_rows(scale: RunScale) -> Vec<ModelRow> {
+        let models = ModelSpec::paper_presets();
+        let suites = ok(sweep(
+            &model_cells(&models, Topology::crossbar4()),
+            scale,
+            4,
+        ));
+        model_rows(&models, &suites)
+    }
+
     #[test]
     fn csv_has_one_row_per_model_and_consistent_fields() {
-        let rows = model_sweep(
-            Topology::crossbar4(),
-            RunScale {
-                window: 1_000,
-                warmup: 200,
-            },
-        );
+        let rows = paper_rows(tiny());
         let csv = format_model_csv(&rows);
         assert_eq!(csv.lines().count(), 11, "header + 10 models");
         assert!(csv.starts_with("model,"));
@@ -1409,14 +1309,7 @@ mod tests {
     #[test]
     fn suite_csv_has_one_row_per_benchmark() {
         let cfg = ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());
-        let suite = run_suite(
-            &cfg,
-            RunScale {
-                window: 1_000,
-                warmup: 200,
-            },
-        );
-        let csv = format_suite_csv(&suite);
+        let csv = format_suite_csv(&[("base", &suite_of(cfg, tiny(), 4))]);
         assert_eq!(csv.lines().count(), 24, "header + 23 benchmarks");
         assert!(csv.contains("gzip,"));
         assert!(csv.contains("mcf,"));
@@ -1429,7 +1322,7 @@ mod tests {
             window: 2_000,
             warmup: 500,
         };
-        let suite = run_suite(&cfg, scale);
+        let suite = suite_of(cfg, scale, executor::default_workers());
         assert_eq!(suite.runs.len(), 23);
         assert!(suite.mean_ipc() > 0.0);
     }
@@ -1447,17 +1340,19 @@ mod tests {
         );
         assert!(RunScale::from_env_value(Some("fast")).is_err());
         assert!(RunScale::from_env_value(Some("QUICK")).is_err());
+        // The parser reads the scale with the flags and refuses a bad one.
+        let args = ALL_FLAGS.parse_from(&[], Some("quick")).unwrap().unwrap();
+        assert_eq!(args.scale, RunScale::quick());
+        let err = ALL_FLAGS.parse_from(&[], Some("bogus")).unwrap_err();
+        assert!(
+            err.contains("\"bogus\"") && err.contains("\"quick\""),
+            "{err}"
+        );
     }
 
     #[test]
     fn model_json_round_trips() {
-        let rows = model_sweep(
-            Topology::crossbar4(),
-            RunScale {
-                window: 1_000,
-                warmup: 200,
-            },
-        );
+        let rows = paper_rows(tiny());
         let doc = heterowire_telemetry::json::parse(&format_model_json(&rows))
             .expect("model JSON parses");
         let out = doc.get("rows").unwrap().as_arr().unwrap();
@@ -1475,13 +1370,7 @@ mod tests {
     #[test]
     fn suite_json_embeds_full_results() {
         let cfg = ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());
-        let suite = run_suite(
-            &cfg,
-            RunScale {
-                window: 1_000,
-                warmup: 200,
-            },
-        );
+        let suite = suite_of(cfg, tiny(), 4);
         let doc = heterowire_telemetry::json::parse(&format_suite_json(&[("base", &suite)]))
             .expect("suite JSON parses");
         let suites = doc.get("suites").unwrap().as_arr().unwrap();
@@ -1513,107 +1402,106 @@ mod tests {
         assert_eq!(doc.get("rows").unwrap().as_arr().unwrap().len(), rows.len());
     }
 
+    /// Every shared flag, repeatable and without defaults, so each test
+    /// sees exactly what it passes.
+    const ALL_FLAGS: Grammar = Grammar {
+        name: "t",
+        about: "",
+        flags: &[
+            Flag::many("--model", Value::Model, &[]),
+            Flag::many("--topology", Value::Topology, &[]),
+            Flag::many("--policy", Value::Policies, &[]),
+            Flag::many("--faults", Value::Faults, &[]),
+            CSV,
+            JSON,
+        ],
+        positional: &[],
+    };
+
+    /// A single-model, single-topology binary with defaults.
+    const ONE_EACH: Grammar = Grammar {
+        name: "one",
+        about: "",
+        flags: &[
+            Flag::one("--model", Value::Model, &["VII"]),
+            Flag::one("--topology", Value::Topology, &["crossbar4"]),
+            Flag::one("--bench", Value::Benchmark, &["gzip"]),
+            Flag::one("--window", Value::Count, &["64"]),
+        ],
+        positional: &["ls-bits", "balance"],
+    };
+
+    fn parse(grammar: &Grammar, argv: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        grammar
+            .parse_from(&argv, Some("quick"))
+            .map(|args| args.expect("no --help"))
+    }
+
     #[test]
     fn artifact_paths_parsing() {
-        let to_args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert_eq!(
-            artifact_paths_from(&to_args(&["t"])),
-            Ok(ArtifactPaths::default())
-        );
-        let both =
-            artifact_paths_from(&to_args(&["t", "--csv", "a.csv", "--json", "a.json"])).unwrap();
-        assert_eq!(both.csv, Some(std::path::PathBuf::from("a.csv")));
-        assert_eq!(both.json, Some(std::path::PathBuf::from("a.json")));
-        assert!(artifact_paths_from(&to_args(&["t", "--json"])).is_err());
+        let none = parse(&ALL_FLAGS, &[]).unwrap();
+        assert_eq!((none.value("--csv"), none.value("--json")), (None, None));
+        let both = parse(&ALL_FLAGS, &["--csv", "a.csv", "--json", "a.json"]).unwrap();
+        assert_eq!(both.value("--csv"), Some("a.csv"));
+        assert_eq!(both.value("--json"), Some("a.json"));
+        assert!(parse(&ALL_FLAGS, &["--json"]).is_err());
     }
 
     #[test]
     fn csv_path_parsing() {
-        let to_args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert_eq!(csv_path_from(&to_args(&["table3"])), Ok(None));
-        assert_eq!(
-            csv_path_from(&to_args(&["table3", "--csv", "out.csv"])),
-            Ok(Some(std::path::PathBuf::from("out.csv")))
-        );
+        assert_eq!(parse(&ALL_FLAGS, &[]).unwrap().value("--csv"), None);
+        let args = parse(&ALL_FLAGS, &["--csv", "out.csv"]).unwrap();
+        assert_eq!(args.value("--csv"), Some("out.csv"));
         // `--csv` as the last argument is an error, not a silent None.
-        assert!(csv_path_from(&to_args(&["table3", "--csv"])).is_err());
+        let err = parse(&ALL_FLAGS, &["--csv"]).unwrap_err();
+        assert!(err.contains("--csv requires a value"), "{err}");
+        let err = parse(&ALL_FLAGS, &["--csv", "a", "--csv", "b"]).unwrap_err();
+        assert!(err.contains("--csv given more than once"), "{err}");
     }
 
     #[test]
     fn model_set_from_args() {
-        let to_args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert!(ModelSet::from_args(&to_args(&["table3"]))
-            .unwrap()
-            .is_none());
-        let set = ModelSet::from_args(&to_args(&[
-            "table3",
-            "--model",
-            "X",
-            "--model",
-            "custom:b144+pw288+l36",
-        ]))
-        .unwrap()
-        .expect("two models");
-        assert_eq!(set.len(), 2);
-        assert_eq!(set.specs()[0].name(), "X");
-        assert_eq!(set.specs()[1].name(), "custom:b144+pw288+l36");
-        // Both tokens name the same link.
-        assert_eq!(set.specs()[0].link(), set.specs()[1].link());
-        // Malformed flags are errors, not silent defaults.
-        assert!(ModelSet::from_args(&to_args(&["t", "--model"])).is_err());
-        assert!(ModelSet::from_args(&to_args(&["t", "--model", "XI"])).is_err());
-        assert!(ModelSet::from_args(&to_args(&["t", "--model", "custom:l36"])).is_err());
-    }
-
-    #[test]
-    fn custom_spec_sweep_matches_preset() {
-        // `custom:b144` is the same machine as Model I; a two-model sweep
-        // of the pair must produce identical runs.
-        let set = ModelSet::new(vec![
-            ModelSpec::parse("I").unwrap(),
-            ModelSpec::parse("custom:b144").unwrap(),
-        ])
+        assert!(parse(&ALL_FLAGS, &[]).unwrap().models.is_empty());
+        let args = parse(
+            &ALL_FLAGS,
+            &["--model", "X", "--model", "custom:b144+pw288+l36"],
+        )
         .unwrap();
-        let scale = RunScale {
-            window: 800,
-            warmup: 200,
-        };
-        let suites = sweep_runs_set(&set, Topology::crossbar4(), scale, 4);
-        assert_eq!(suites.len(), 2);
-        assert_eq!(suites[0].runs, suites[1].runs, "bit-identical results");
-        let rows = rows_from_runs_set(&set, &suites);
-        assert_eq!(rows[0].at_10.ipc, rows[1].at_10.ipc);
-        assert_eq!(rows[1].model.name(), "custom:b144");
-    }
-
-    #[test]
-    fn metric_rows_round_trip_csv_and_json() {
-        let rows = vec![
-            MetricRow::new("ls-bits", "8", "false_dep_pct", 7.25),
-            MetricRow::new("balance", "paper (both)", "am_ipc", 2.5),
-        ];
-        let csv = format_metric_csv(&rows);
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.contains("ls-bits,8,false_dep_pct,7.25"));
-        let doc = heterowire_telemetry::json::parse(&format_metric_json(&rows)).expect("parses");
-        let arr = doc.get("metrics").unwrap().as_arr().unwrap();
-        assert_eq!(arr.len(), 2);
-        assert_eq!(arr[1].get("label").unwrap().as_str(), Some("paper (both)"));
-        assert_eq!(arr[0].get("value").unwrap().as_num(), Some(7.25));
+        assert_eq!(args.models.len(), 2);
+        assert_eq!(args.models[0].name(), "X");
+        assert_eq!(args.models[1].name(), "custom:b144+pw288+l36");
+        // Both tokens name the same link.
+        assert_eq!(args.models[0].link(), args.models[1].link());
+        // Malformed flags are errors, not silent defaults.
+        assert!(parse(&ALL_FLAGS, &["--model"]).is_err());
+        assert!(parse(&ALL_FLAGS, &["--model", "XI"]).is_err());
+        assert!(parse(&ALL_FLAGS, &["--model", "custom:l36"]).is_err());
+        // A single-model binary takes its default when the flag is absent
+        // and refuses a second --model instead of silently using the first.
+        assert_eq!(parse(&ONE_EACH, &[]).unwrap().model().name(), "VII");
+        assert_eq!(
+            parse(&ONE_EACH, &["--model", "X"]).unwrap().model().name(),
+            "X"
+        );
+        let err = parse(&ONE_EACH, &["--model", "VII", "--model", "X"]).unwrap_err();
+        assert!(err.contains("--model given more than once"), "{err}");
+        // The paper default parses to the presets, in table order.
+        let paper: Vec<_> = PAPER_MODELS
+            .iter()
+            .map(|t| ModelSpec::parse(t).unwrap())
+            .collect();
+        assert_eq!(paper, ModelSpec::paper_presets());
     }
 
     #[test]
     fn topology_from_args_parsing() {
-        let to_args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert!(topology_from_args(&to_args(&["policy_ab"]))
-            .unwrap()
-            .is_none());
+        assert_eq!(
+            parse(&ONE_EACH, &[]).unwrap().topology().name(),
+            "crossbar4"
+        );
         // Presets and their equivalent compact specs resolve identically.
-        let resolve = |token: &str| {
-            topology_from_args(&to_args(&["t", "--topology", token]))
-                .unwrap()
-                .expect("flag present")
-        };
+        let resolve = |token: &str| *parse(&ONE_EACH, &["--topology", token]).unwrap().topology();
         assert_eq!(resolve("hier16").topology(), Topology::hier16());
         assert_eq!(resolve("crossbar4").topology(), Topology::crossbar4());
         assert_eq!(resolve("ring:4x4").topology(), Topology::hier16());
@@ -1622,53 +1510,35 @@ mod tests {
         assert_eq!(resolve("hier16").name(), "hier16");
         assert_eq!(resolve("ring:4x4").name(), "ring:4x4");
         // Malformed tokens fail loudly with the shared parser's message.
-        assert!(topology_from_args(&to_args(&["t", "--topology", "mesh"]))
+        assert!(parse(&ONE_EACH, &["--topology", "mesh"])
             .unwrap_err()
             .contains("unknown topology"));
-        assert!(
-            topology_from_args(&to_args(&["t", "--topology", "ring:2x4"]))
-                .unwrap_err()
-                .contains("quads")
-        );
-        assert!(topology_from_args(&to_args(&["t", "--topology"])).is_err());
-        assert!(topology_from_args(&to_args(&[
-            "t",
-            "--topology",
-            "hier16",
-            "--topology",
-            "hier16"
-        ]))
-        .is_err());
+        assert!(parse(&ONE_EACH, &["--topology", "ring:2x4"])
+            .unwrap_err()
+            .contains("quads"));
+        assert!(parse(&ONE_EACH, &["--topology"]).is_err());
+        assert!(parse(&ONE_EACH, &["--topology", "hier16", "--topology", "hier16"]).is_err());
     }
 
     #[test]
     fn topology_set_collects_repeated_flags() {
-        let to_args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert!(TopologySet::from_args(&to_args(&["t"])).unwrap().is_none());
-        let set = TopologySet::from_args(&to_args(&[
-            "t",
-            "--topology",
-            "crossbar4",
-            "--topology",
-            "ring:6x2",
-        ]))
-        .unwrap()
-        .expect("two topologies");
-        assert_eq!(set.len(), 2);
-        assert!(!set.is_empty());
-        assert_eq!(set.specs()[0].name(), "crossbar4");
-        assert_eq!(set.specs()[1].name(), "ring:6x2");
-        assert_eq!(set.specs()[1].topology().clusters(), 12);
-        assert!(TopologySet::new(Vec::new()).is_err());
-        // Shapes past the processor's old inline capacity now parse (the
+        assert!(parse(&ALL_FLAGS, &[]).unwrap().topologies.is_empty());
+        let args = parse(
+            &ALL_FLAGS,
+            &["--topology", "crossbar4", "--topology", "ring:6x2"],
+        )
+        .unwrap();
+        assert_eq!(args.topologies.len(), 2);
+        assert_eq!(args.topologies[0].name(), "crossbar4");
+        assert_eq!(args.topologies[1].name(), "ring:6x2");
+        assert_eq!(args.topologies[1].topology().clusters(), 12);
+        // Shapes past the processor's old inline capacity parse (the
         // per-value structures spill); the simulator-wide cap still
         // refuses at parse time, not by a panic mid-sweep, with the
         // shared checker's message (cap + offending count).
-        let wide = TopologySet::from_args(&to_args(&["t", "--topology", "ring:6x4"]))
-            .unwrap()
-            .expect("one topology");
-        assert_eq!(wide.specs()[0].topology().clusters(), 24);
-        let err = TopologySet::from_args(&to_args(&["t", "--topology", "xbar:65"])).unwrap_err();
+        let wide = parse(&ALL_FLAGS, &["--topology", "ring:6x4"]).unwrap();
+        assert_eq!(wide.topologies[0].topology().clusters(), 24);
+        let err = parse(&ALL_FLAGS, &["--topology", "xbar:65"]).unwrap_err();
         assert!(err.contains("65 clusters"), "{err}");
         assert!(err.contains("at most 64"), "{err}");
     }
@@ -1697,23 +1567,121 @@ mod tests {
 
     #[test]
     fn policies_from_args_parsing() {
-        let to_args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert!(policies_from_args(&to_args(&["policy_ab"]))
-            .unwrap()
-            .is_none());
-        let got = policies_from_args(&to_args(&["t", "--policy", "paper,oracle"]))
-            .unwrap()
-            .expect("two policies");
-        assert_eq!(got, vec![PolicyKind::Paper, PolicyKind::Oracle]);
+        assert!(parse(&ALL_FLAGS, &[]).unwrap().policies.is_empty());
+        let got = parse(&ALL_FLAGS, &["--policy", "paper,oracle"]).unwrap();
+        assert_eq!(got.policies, vec![PolicyKind::Paper, PolicyKind::Oracle]);
         // Repeated flags accumulate.
-        let got = policies_from_args(&to_args(&["t", "--policy", "spray", "--policy", "pwfirst"]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(got, vec![PolicyKind::Spray, PolicyKind::PwFirst]);
+        let got = parse(&ALL_FLAGS, &["--policy", "spray", "--policy", "pwfirst"]).unwrap();
+        assert_eq!(got.policies, vec![PolicyKind::Spray, PolicyKind::PwFirst]);
         // Malformed forms are errors, not silent defaults.
-        assert!(policies_from_args(&to_args(&["t", "--policy"])).is_err());
-        assert!(policies_from_args(&to_args(&["t", "--policy", "greedy"])).is_err());
-        assert!(policies_from_args(&to_args(&["t", "--policy", "paper,paper"])).is_err());
+        assert!(parse(&ALL_FLAGS, &["--policy"]).is_err());
+        assert!(parse(&ALL_FLAGS, &["--policy", "greedy"]).is_err());
+        assert!(parse(&ALL_FLAGS, &["--policy", "paper,paper"]).is_err());
+        assert!(parse(&ALL_FLAGS, &["--policy", "paper", "--policy", "paper"]).is_err());
+        // The default list is every racer, in race order.
+        const ALL: Grammar = Grammar {
+            flags: &[Flag::many("--policy", Value::Policies, ALL_POLICIES)],
+            ..ALL_FLAGS
+        };
+        assert_eq!(parse(&ALL, &[]).unwrap().policies, PolicyKind::ALL);
+    }
+
+    #[test]
+    fn unknown_flags_and_malformed_values_are_refused() {
+        for (argv, needle) in [
+            (&["--modle", "X"][..], "unknown flag \"--modle\""),
+            (
+                &["stray"],
+                "unknown argument \"stray\"; expected one of ls-bits, balance",
+            ),
+            (&["ls-bits", "balance"], "unexpected argument \"balance\""),
+            (&["--window", "abc"], "--window \"abc\""),
+            (&["--window", "0"], "expected a positive integer"),
+            (&["--bench", "nope"], "--bench \"nope\": unknown benchmark"),
+            (&["-h"], "unknown flag \"-h\""),
+        ] {
+            let err = parse(&ONE_EACH, argv).unwrap_err();
+            assert!(err.contains(needle), "{argv:?}: {err}");
+        }
+        assert!(parse(&ALL_FLAGS, &["ls-bits"])
+            .unwrap_err()
+            .contains("unexpected argument"));
+        let args = parse(&ONE_EACH, &["balance", "--window", "8"]).unwrap();
+        assert_eq!(args.positional.as_deref(), Some("balance"));
+        assert_eq!(args.value("--window"), Some("8"));
+        assert_eq!(args.value("--bench"), Some("gzip"));
+        // `--help` is an answer, not an error, where it is declared.
+        const HELP_ONLY: Grammar = Grammar {
+            flags: &[HELP],
+            ..ALL_FLAGS
+        };
+        let argv = ["-h".to_string()];
+        assert!(HELP_ONLY.parse_from(&argv, None).unwrap().is_none());
+        assert!(HELP_ONLY.usage().starts_with("usage: t [--help]"));
+    }
+
+    #[test]
+    fn flag_combinations_are_checked_up_front() {
+        let err = parse(
+            &ALL_FLAGS,
+            &["--model", "custom:b144", "--policy", "pwfirst"],
+        )
+        .unwrap_err();
+        assert!(err.contains("pwfirst") && err.contains("PW-Wires"), "{err}");
+        let argv = [
+            "--model",
+            "I",
+            "--topology",
+            "crossbar4",
+            "--faults",
+            "lane:B0@stuck+lane:B1@stuck",
+        ];
+        let err = parse(&ALL_FLAGS, &argv).unwrap_err();
+        assert!(
+            err.contains("--faults") && err.contains("full-width"),
+            "{err}"
+        );
+        assert!(parse(&ALL_FLAGS, &["--faults", "l@1e-3", "--faults", "l@1e-3"]).is_err());
+    }
+
+    #[test]
+    fn custom_spec_sweep_matches_preset() {
+        // `custom:b144` is the same machine as Model I; a two-model sweep
+        // of the pair must produce identical runs.
+        let models = vec![
+            ModelSpec::parse("I").unwrap(),
+            ModelSpec::parse("custom:b144").unwrap(),
+        ];
+        let scale = RunScale {
+            window: 800,
+            warmup: 200,
+        };
+        let suites = ok(sweep(
+            &model_cells(&models, Topology::crossbar4()),
+            scale,
+            4,
+        ));
+        assert_eq!(suites.len(), 2);
+        assert_eq!(suites[0].runs, suites[1].runs, "bit-identical results");
+        let rows = model_rows(&models, &suites);
+        assert_eq!(rows[0].at_10.ipc, rows[1].at_10.ipc);
+        assert_eq!(rows[1].model.name(), "custom:b144");
+    }
+
+    #[test]
+    fn metric_rows_round_trip_csv_and_json() {
+        let rows = vec![
+            MetricRow::new("ls-bits", "8", "false_dep_pct", 7.25),
+            MetricRow::new("balance", "paper (both)", "am_ipc", 2.5),
+        ];
+        let csv = format_metric_csv(&rows);
+        assert_eq!(csv.lines().count(), 3);
+        assert!(csv.contains("ls-bits,8,false_dep_pct,7.25"));
+        let doc = heterowire_telemetry::json::parse(&format_metric_json(&rows)).expect("parses");
+        let arr = doc.get("metrics").unwrap().as_arr().unwrap();
+        assert_eq!(arr.len(), 2);
+        assert_eq!(arr[1].get("label").unwrap().as_str(), Some("paper (both)"));
+        assert_eq!(arr[0].get("value").unwrap().as_num(), Some(7.25));
     }
 
     #[test]
@@ -1738,24 +1706,24 @@ mod tests {
 
     #[test]
     fn policy_race_rows_cover_the_grid() {
-        let models = ModelSet::new(vec![ModelSpec::parse("X").unwrap()]).unwrap();
+        let model = ModelSpec::parse("X").unwrap();
         let policies = [PolicyKind::Paper, PolicyKind::Oracle];
         let scale = RunScale {
             window: 800,
             warmup: 200,
         };
-        let suites = policy_sweep_runs(&models, &policies, Topology::crossbar4(), scale, 4);
-        assert_eq!(suites.len(), 1);
-        assert_eq!(suites[0].len(), 2);
-        assert_eq!(suites[0][0].runs.len(), 23);
-        // The paper lane is the exact default path.
-        let direct = run_suite_on(
-            &ProcessorConfig::for_model_spec(&models.specs()[0], Topology::crossbar4()),
+        let config = ProcessorConfig::for_model_spec(&model, Topology::crossbar4());
+        let suites = ok(sweep(
+            &policy_cells(config.clone(), &policies, None),
             scale,
             4,
-        );
-        assert_eq!(suites[0][0].runs, direct.runs, "bit-identical paper row");
-        let rows = policy_metric_rows(&models.specs()[0], &policies, &suites[0]);
+        ));
+        assert_eq!(suites.len(), 2);
+        assert_eq!(suites[0].runs.len(), 23);
+        // The paper lane is the exact default path.
+        let direct = suite_of(config, scale, 4);
+        assert_eq!(suites[0].runs, direct.runs, "bit-identical paper row");
+        let rows = policy_metric_rows(&model, &policies, &suites);
         assert_eq!(rows.len(), 2 * 7, "7 metrics per policy");
         assert!(rows
             .iter()
@@ -1776,7 +1744,7 @@ mod tests {
             .find(|r| r.label == "paper" && r.metric == "ed2_10_pct")
             .unwrap();
         assert!((base_ed2.value - 100.0).abs() < 1e-9);
-        let table = format_policy_table(&models.specs()[0], &policies, &suites[0]);
+        let table = format_policy_table(&model, &policies, &suites);
         assert!(table.contains("paper") && table.contains("oracle"));
     }
 
@@ -1787,9 +1755,44 @@ mod tests {
             window: 800,
             warmup: 200,
         };
-        let serial = run_suite_on(&cfg, scale, 1);
-        let parallel = run_suite_on(&cfg, scale, 4);
-        assert_eq!(serial.names, parallel.names);
-        assert_eq!(serial.runs, parallel.runs, "bit-identical results");
+        let cells = [Cell::new(cfg)];
+        let serial = ok(sweep_serial(&cells, scale));
+        let parallel = ok(sweep(&cells, scale, 4));
+        assert_eq!(serial[0].names, parallel[0].names);
+        assert_eq!(serial[0].runs, parallel[0].runs, "bit-identical results");
+    }
+
+    #[test]
+    fn a_stalled_cell_fails_alone() {
+        // `b@1` corrupts every B transfer on every attempt and Model I has
+        // only B-Wires, so every run of the first cell stalls; the second
+        // cell must still come back whole and in place.
+        let cfg = ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());
+        let storm = Cell {
+            faults: Some(FaultSpec::parse("b@1").unwrap()),
+            ..Cell::new(cfg.clone())
+        };
+        let scale = RunScale {
+            window: 500,
+            warmup: 100,
+        };
+        let results = sweep(&[storm, Cell::new(cfg.clone())], scale, 4);
+        let err = results[0].as_ref().unwrap_err();
+        assert!(err.starts_with(spec2000()[0].name), "{err}");
+        assert!(err.contains("deadlock"), "{err}");
+        assert_eq!(results[1], Ok(suite_of(cfg, scale, 1)));
+    }
+
+    #[test]
+    fn a_failed_benchmark_fails_its_cell_by_name() {
+        let profiles = spec2000();
+        let cfg = ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());
+        let run = Cell::new(cfg).run(profiles[0], tiny()).unwrap();
+        let outcomes = (0..profiles.len()).map(|i| match i {
+            2 => Err("stalled".to_string()),
+            _ => Ok(run),
+        });
+        let err = collect_suite(&profiles, outcomes).unwrap_err();
+        assert_eq!(err, format!("{}: stalled", profiles[2].name));
     }
 }

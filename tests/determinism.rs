@@ -1,8 +1,8 @@
 //! Determinism and reproducibility: identical inputs must give identical
 //! simulations, and different inputs must actually differ.
 
-use heterowire_bench::{sweep_runs, sweep_runs_serial, RunScale};
-use heterowire_core::{InterconnectModel, Processor, ProcessorConfig};
+use heterowire_bench::{model_cells, sweep, sweep_serial, RunScale};
+use heterowire_core::{InterconnectModel, ModelSpec, Processor, ProcessorConfig};
 use heterowire_interconnect::Topology;
 use heterowire_trace::{by_name, spec2000, TraceGenerator};
 
@@ -67,13 +67,15 @@ fn parallel_sweep_is_bit_identical_to_serial() {
         window: 1_500,
         warmup: 300,
     };
-    let serial = sweep_runs_serial(Topology::crossbar4(), scale);
-    let parallel = sweep_runs(Topology::crossbar4(), scale, 4);
+    let cells = model_cells(&ModelSpec::paper_presets(), Topology::crossbar4());
+    let serial = sweep_serial(&cells, scale);
+    let parallel = sweep(&cells, scale, 4);
     assert_eq!(serial.len(), parallel.len());
     for (model, (s, p)) in InterconnectModel::ALL
         .iter()
         .zip(serial.iter().zip(&parallel))
     {
+        let (s, p) = (s.as_ref().unwrap(), p.as_ref().unwrap());
         assert_eq!(s.names, p.names, "{model}: benchmark order diverged");
         assert_eq!(
             s.runs, p.runs,

@@ -2,7 +2,7 @@
 //! front-end → clusters → heterogeneous network → LSQ/caches → energy
 //! model) on real configurations.
 
-use heterowire_bench::{run_one, RunScale, SEED};
+use heterowire_bench::{Cell, RunScale, SEED};
 use heterowire_core::{
     relative_report, EnergyParams, InterconnectModel, Processor, ProcessorConfig,
 };
@@ -19,14 +19,15 @@ const SCALE: RunScale = RunScale {
 fn every_benchmark_runs_on_the_baseline() {
     for p in spec2000() {
         let cfg = ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());
-        let r = run_one(
-            cfg,
-            p,
-            RunScale {
-                window: 3_000,
-                warmup: 500,
-            },
-        );
+        let r = Cell::new(cfg)
+            .run(
+                p,
+                RunScale {
+                    window: 3_000,
+                    warmup: 500,
+                },
+            )
+            .unwrap();
         assert_eq!(r.instructions, 3_000, "{}", p.name);
         assert!(r.ipc() > 0.02, "{} IPC {}", p.name, r.ipc());
         assert!(r.ipc() < 8.0, "{} IPC {}", p.name, r.ipc());
@@ -39,14 +40,15 @@ fn every_model_runs_on_both_topologies() {
     for topology in [Topology::crossbar4(), Topology::hier16()] {
         for model in InterconnectModel::ALL {
             let cfg = ProcessorConfig::for_model(model, topology);
-            let r = run_one(
-                cfg,
-                p,
-                RunScale {
-                    window: 2_000,
-                    warmup: 500,
-                },
-            );
+            let r = Cell::new(cfg)
+                .run(
+                    p,
+                    RunScale {
+                        window: 2_000,
+                        warmup: 500,
+                    },
+                )
+                .unwrap();
             assert!(r.ipc() > 0.0, "{model} on {topology:?}");
             assert!(r.net.total_transfers() > 0, "{model} moved no data");
         }
@@ -59,7 +61,9 @@ fn heterogeneous_traffic_goes_where_the_policy_says() {
     // L-wires carry only small messages, PW carries the store/ready
     // traffic, B the rest.
     let cfg = ProcessorConfig::for_model(InterconnectModel::X, Topology::crossbar4());
-    let r = run_one(cfg, by_name("gcc").expect("gcc"), SCALE);
+    let r = Cell::new(cfg)
+        .run(by_name("gcc").expect("gcc"), SCALE)
+        .unwrap();
     let l_share = r.net.class_share(WireClass::L);
     let pw_share = r.net.class_share(WireClass::Pw);
     let b_share = r.net.class_share(WireClass::B);
@@ -74,16 +78,18 @@ fn energy_model_tracks_wire_choices() {
     // Model II (PW only) must burn less interconnect dynamic energy than
     // Model I on the same workload, at roughly the Table-2 ratio.
     let p = by_name("twolf").expect("twolf");
-    let base = run_one(
-        ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4()),
-        p,
-        SCALE,
-    );
-    let pw = run_one(
-        ProcessorConfig::for_model(InterconnectModel::II, Topology::crossbar4()),
-        p,
-        SCALE,
-    );
+    let base = Cell::new(ProcessorConfig::for_model(
+        InterconnectModel::I,
+        Topology::crossbar4(),
+    ))
+    .run(p, SCALE)
+    .unwrap();
+    let pw = Cell::new(ProcessorConfig::for_model(
+        InterconnectModel::II,
+        Topology::crossbar4(),
+    ))
+    .run(p, SCALE)
+    .unwrap();
     let rel = relative_report(&pw, &base, EnergyParams::ten_percent());
     // All traffic moves from B (0.58) to PW (0.30): ~52%.
     assert!(
@@ -113,16 +119,18 @@ fn deadlock_free_across_seeds() {
 fn sixteen_clusters_deliver_more_ilp_on_fp() {
     // §5.3: moving from 4 to 16 clusters helps high-ILP programs.
     let p = by_name("swim").expect("swim");
-    let c4 = run_one(
-        ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4()),
-        p,
-        SCALE,
-    );
-    let c16 = run_one(
-        ProcessorConfig::for_model(InterconnectModel::I, Topology::hier16()),
-        p,
-        SCALE,
-    );
+    let c4 = Cell::new(ProcessorConfig::for_model(
+        InterconnectModel::I,
+        Topology::crossbar4(),
+    ))
+    .run(p, SCALE)
+    .unwrap();
+    let c16 = Cell::new(ProcessorConfig::for_model(
+        InterconnectModel::I,
+        Topology::hier16(),
+    ))
+    .run(p, SCALE)
+    .unwrap();
     assert!(
         c16.ipc() > c4.ipc(),
         "16 clusters should beat 4 on swim: {} vs {}",
@@ -135,22 +143,24 @@ fn sixteen_clusters_deliver_more_ilp_on_fp() {
 fn warmup_is_excluded_from_measurements() {
     let p = by_name("gzip").expect("gzip");
     let cfg = ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());
-    let with_warmup = run_one(
-        cfg.clone(),
-        p,
-        RunScale {
-            window: 5_000,
-            warmup: 5_000,
-        },
-    );
-    let without = run_one(
-        cfg,
-        p,
-        RunScale {
-            window: 5_000,
-            warmup: 0,
-        },
-    );
+    let with_warmup = Cell::new(cfg.clone())
+        .run(
+            p,
+            RunScale {
+                window: 5_000,
+                warmup: 5_000,
+            },
+        )
+        .unwrap();
+    let without = Cell::new(cfg)
+        .run(
+            p,
+            RunScale {
+                window: 5_000,
+                warmup: 0,
+            },
+        )
+        .unwrap();
     assert_eq!(with_warmup.instructions, 5_000);
     // Cold caches and predictors make the no-warmup window slower.
     assert!(with_warmup.ipc() >= without.ipc() * 0.95);

@@ -2,7 +2,7 @@
 //! compaction, L2 critical-word-first, transmission-line L-Wires) running
 //! in the full pipeline.
 
-use heterowire_bench::{run_one, RunScale};
+use heterowire_bench::{Cell, RunScale};
 use heterowire_core::{Extensions, InterconnectModel, ProcessorConfig};
 use heterowire_interconnect::Topology;
 use heterowire_trace::by_name;
@@ -17,7 +17,9 @@ fn run_with(ext: Extensions, latency_scale: f64, bench: &str) -> heterowire_core
     let mut cfg = ProcessorConfig::for_model(InterconnectModel::VII, Topology::crossbar4());
     cfg.extensions = ext;
     cfg.latency_scale = latency_scale;
-    run_one(cfg, by_name(bench).expect("benchmark"), SCALE)
+    Cell::new(cfg)
+        .run(by_name(bench).expect("benchmark"), SCALE)
+        .unwrap()
 }
 
 #[test]
@@ -69,8 +71,12 @@ fn critical_word_first_requires_l_wires() {
     let mut with = ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());
     with.extensions.l2_critical_word = true;
     let without = ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());
-    let a = run_one(with, by_name("mcf").expect("mcf"), SCALE);
-    let b = run_one(without, by_name("mcf").expect("mcf"), SCALE);
+    let a = Cell::new(with)
+        .run(by_name("mcf").expect("mcf"), SCALE)
+        .unwrap();
+    let b = Cell::new(without)
+        .run(by_name("mcf").expect("mcf"), SCALE)
+        .unwrap();
     assert_eq!(
         a.cycles, b.cycles,
         "CWF without L-Wires must change nothing"

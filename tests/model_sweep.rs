@@ -1,18 +1,22 @@
 //! Integration tests over the Table-3/4 sweep machinery: the energy model,
 //! normalisation, and the orderings that define the paper's conclusions.
 
-use heterowire_bench::{model_sweep, RunScale};
+use heterowire_bench::{executor, model_cells, model_rows, sweep, ModelRow, RunScale};
 use heterowire_core::InterconnectModel;
 use heterowire_interconnect::Topology;
 
-fn quick_rows() -> Vec<heterowire_bench::ModelRow> {
-    model_sweep(
-        Topology::crossbar4(),
-        RunScale {
-            window: 6_000,
-            warmup: 2_000,
-        },
-    )
+fn quick_rows() -> Vec<ModelRow> {
+    let models = heterowire_core::ModelSpec::paper_presets();
+    let scale = RunScale {
+        window: 6_000,
+        warmup: 2_000,
+    };
+    let cells = model_cells(&models, Topology::crossbar4());
+    let suites: Vec<_> = sweep(&cells, scale, executor::default_workers())
+        .into_iter()
+        .map(|s| s.expect("every benchmark completes"))
+        .collect();
+    model_rows(&models, &suites)
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! statistics the paper quotes). Magnitudes are asserted loosely; see
 //! EXPERIMENTS.md for measured-vs-paper values.
 
-use heterowire_bench::{run_one, run_suite, RunScale};
+use heterowire_bench::{executor, sweep, Cell, RunScale, SuiteResults};
 use heterowire_core::{InterconnectModel, ProcessorConfig};
 use heterowire_interconnect::Topology;
 use heterowire_trace::{by_name, spec2000, TraceGenerator, TraceStats};
@@ -13,10 +13,17 @@ const SCALE: RunScale = RunScale {
     warmup: 4_000,
 };
 
+/// The paper-policy suite of one configuration.
+fn paper_suite(cfg: ProcessorConfig, scale: RunScale) -> SuiteResults {
+    let cells = [Cell::new(cfg)];
+    let mut suites = sweep(&cells, scale, executor::default_workers());
+    suites.remove(0).expect("every benchmark completes")
+}
+
 fn suite_mean(model: InterconnectModel, topology: Topology, latency_scale: f64) -> f64 {
     let mut cfg = ProcessorConfig::for_model(model, topology);
     cfg.latency_scale = latency_scale;
-    run_suite(&cfg, SCALE).mean_ipc()
+    paper_suite(cfg, SCALE).mean_ipc()
 }
 
 #[test]
@@ -62,16 +69,18 @@ fn sixteen_clusters_improve_single_thread_ipc() {
 fn pw_only_interconnect_degrades_ipc_but_saves_energy() {
     // Table 3, Model II vs Model I: slower but much cheaper dynamically.
     let p = by_name("crafty").expect("crafty");
-    let base = run_one(
-        ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4()),
-        p,
-        SCALE,
-    );
-    let pw = run_one(
-        ProcessorConfig::for_model(InterconnectModel::II, Topology::crossbar4()),
-        p,
-        SCALE,
-    );
+    let base = Cell::new(ProcessorConfig::for_model(
+        InterconnectModel::I,
+        Topology::crossbar4(),
+    ))
+    .run(p, SCALE)
+    .unwrap();
+    let pw = Cell::new(ProcessorConfig::for_model(
+        InterconnectModel::II,
+        Topology::crossbar4(),
+    ))
+    .run(p, SCALE)
+    .unwrap();
     assert!(pw.ipc() < base.ipc());
     assert!(pw.net.dynamic_energy < base.net.dynamic_energy * 0.6);
 }
@@ -81,7 +90,7 @@ fn false_dependence_rate_stays_under_paper_bound() {
     // §4: "false dependences were encountered for fewer than 9% of all
     // loads when employing eight LS bits".
     let cfg = ProcessorConfig::for_model(InterconnectModel::VII, Topology::crossbar4());
-    let suite = run_suite(&cfg, SCALE);
+    let suite = paper_suite(cfg, SCALE);
     let (fd, loads) = suite.runs.iter().fold((0u64, 0u64), |(f, l), r| {
         (f + r.lsq.false_dependences, l + r.lsq.loads)
     });
@@ -95,8 +104,8 @@ fn narrow_predictor_matches_paper_quality() {
     // §4: 8K 2-bit counters identify ~95% of narrow results with ~2% of
     // predicted-narrow values actually wide.
     let cfg = ProcessorConfig::for_model(InterconnectModel::VII, Topology::crossbar4());
-    let suite = run_suite(
-        &cfg,
+    let suite = paper_suite(
+        cfg,
         RunScale {
             window: 30_000,
             warmup: 10_000,
@@ -142,7 +151,7 @@ fn memory_fraction_justifies_double_width_cache_links() {
 fn mcf_is_the_slowest_program() {
     // Figure 3's most prominent feature: mcf's memory-bound IPC floor.
     let cfg = ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());
-    let suite = run_suite(&cfg, SCALE);
+    let suite = paper_suite(cfg, SCALE);
     let mcf_idx = suite.names.iter().position(|n| *n == "mcf").expect("mcf");
     let mcf_ipc = suite.runs[mcf_idx].ipc();
     for (i, r) in suite.runs.iter().enumerate() {

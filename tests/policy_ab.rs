@@ -9,10 +9,12 @@
 //! * the oracle's grid IPC bounds the paper policy from above (it cheats;
 //!   losing to a realizable policy would mean the bound is broken).
 
-use heterowire_bench::{policy_sweep_runs, run_one_policy, ModelSet, PolicyKind, RunScale, SEED};
+use heterowire_bench::{
+    executor, policy_cells, run_one_policy_faults, sweep, PolicyKind, RunScale, SuiteResults, SEED,
+};
 use heterowire_core::{
-    CriticalityPolicy, InterconnectModel, ModelSpec, NullProbe, OraclePolicy, Processor,
-    ProcessorConfig, PwFirstPolicy, SimResults,
+    CriticalityPolicy, InterconnectModel, NullProbe, OraclePolicy, Processor, ProcessorConfig,
+    PwFirstPolicy, SimResults,
 };
 use heterowire_interconnect::Topology;
 use heterowire_trace::{spec2000, BenchmarkProfile, TraceGenerator};
@@ -91,28 +93,25 @@ fn new_policies_are_kernel_agnostic_and_deterministic() {
 #[test]
 fn harness_paper_row_is_bit_identical_to_the_model_x_baseline() {
     let scale = RunScale::quick();
-    let models = ModelSet::new(vec![ModelSpec::parse("X").unwrap()]).unwrap();
-    let suites = policy_sweep_runs(
-        &models,
-        &[PolicyKind::Paper, PolicyKind::Oracle],
-        Topology::crossbar4(),
-        scale,
-        4,
-    );
-    let baseline = heterowire_bench::run_suite_on(
-        &ProcessorConfig::for_model(InterconnectModel::X, Topology::crossbar4()),
-        scale,
-        4,
-    );
+    let cfg = ProcessorConfig::for_model(InterconnectModel::X, Topology::crossbar4());
+    let cells = policy_cells(cfg.clone(), &[PolicyKind::Paper, PolicyKind::Oracle], None);
+    let suites: Vec<SuiteResults> = sweep(&cells, scale, 4)
+        .into_iter()
+        .map(|s| s.expect("every benchmark completes"))
+        .collect();
+    let baseline = executor::run_indexed(spec2000(), 4, |profile| {
+        Processor::new(cfg.clone(), TraceGenerator::new(profile, SEED))
+            .run(scale.window, scale.warmup)
+    });
     assert_eq!(
-        suites[0][0].runs, baseline.runs,
+        suites[0].runs, baseline,
         "the harness's paper lane must be the exact default-processor path"
     );
 
     // The oracle cheats (actual widths, known consumer distance, no
     // replays); the realizable paper policy must not beat it on the grid.
-    let paper_ipc = suites[0][0].mean_ipc();
-    let oracle_ipc = suites[0][1].mean_ipc();
+    let paper_ipc = suites[0].mean_ipc();
+    let oracle_ipc = suites[1].mean_ipc();
     assert!(
         oracle_ipc >= paper_ipc,
         "oracle IPC {oracle_ipc} fell below paper IPC {paper_ipc}"
@@ -120,13 +119,18 @@ fn harness_paper_row_is_bit_identical_to_the_model_x_baseline() {
 }
 
 #[test]
-fn run_one_policy_paper_matches_run_one_shared() {
+fn paper_lane_matches_the_default_processor() {
     let profile = spec2000()[3];
-    let cfg = Arc::new(ProcessorConfig::for_model(
-        InterconnectModel::X,
-        Topology::crossbar4(),
-    ));
-    let via_policy = run_one_policy(cfg.clone(), profile, small(), PolicyKind::Paper);
-    let direct = heterowire_bench::run_one_shared(cfg, profile, small());
-    assert_eq!(via_policy, direct);
+    let cfg = ProcessorConfig::for_model(InterconnectModel::X, Topology::crossbar4());
+    let via_harness = run_one_policy_faults(
+        Arc::new(cfg.clone()),
+        profile,
+        small(),
+        PolicyKind::Paper,
+        None,
+    )
+    .expect("completes");
+    let direct =
+        Processor::new(cfg, TraceGenerator::new(profile, SEED)).run(small().window, small().warmup);
+    assert_eq!(via_harness, direct);
 }
