@@ -17,7 +17,7 @@ use heterowire_wires::WireClass;
 
 use super::policy::{CacheReturn, TransferPolicy, ValueCopy};
 use super::wheel::DeferredSend;
-use super::{Action, Phase, Processor, ValueInfo, IN_FLIGHT};
+use super::{Action, Phase, Processor, ValueRef, IN_FLIGHT};
 
 impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
     /// Schedules a send for cycle `at` (clamped to the next cycle, matching
@@ -39,12 +39,12 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
     /// paper's first PW criterion.
     pub(super) fn send_value_copy(
         &mut self,
-        producer: u64,
+        producer: ValueRef,
         cluster: usize,
         ready_at_dispatch: bool,
     ) {
         let (src_cluster, narrow, value, pc, critical) = {
-            let v = self.value(producer).expect("value exists");
+            let v = self.values.get(producer);
             // Completion-time copies carry the criticality mark recorded
             // when the consumer subscribed; dispatch-time copies had slack
             // by definition.
@@ -75,7 +75,10 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             class: decision.class,
             kind: decision.kind,
         };
-        let action = Action::ValueArrive { producer, cluster };
+        let action = Action::ValueArrive {
+            producer,
+            cluster: cluster as u32,
+        };
         if decision.delay > 0 {
             self.defer_send(self.cycle + decision.delay, transfer, action);
         } else {
@@ -84,8 +87,7 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 .send_probed(transfer, self.cycle, &mut self.probe);
             self.record_action(id, action);
         }
-        debug_assert!(self.value(producer).is_some(), "value exists");
-        self.slots.set_arrival(producer, cluster, IN_FLIGHT);
+        self.values.set_arrival(producer, cluster, IN_FLIGHT);
     }
 
     /// Records the delivery action of a freshly sent transfer. Transfer
@@ -104,10 +106,11 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             let action = self.actions[id.0 as usize];
             match action {
                 Action::ValueArrive { producer, cluster } => {
-                    let cycle = self.cycle;
-                    if self.value(producer).is_some() {
-                        self.slots.set_arrival(producer, cluster, cycle);
-                    }
+                    // The copy's consumer has not committed yet, so the
+                    // value still owns its pool row.
+                    assert!(self.values.owns(producer), "copy of a released value");
+                    let cluster = cluster as usize;
+                    self.values.set_arrival(producer, cluster, self.cycle);
                     self.wake_waiters(producer, cluster);
                 }
                 Action::PartialAddr { seq } => {
@@ -119,18 +122,10 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                             Some(r) => self.lsq.arrive_partial_ref(r, addr, self.cycle),
                             None => self.lsq.arrive_partial(seq, addr, self.cycle),
                         }
-                        if let Some(i) = self.rob_get_mut(seq) {
-                            if !i.op.op().is_mem() {
-                                continue;
-                            }
-                            if i.op.op() == OpClass::Load && !i.at_cache {
-                                i.at_cache = true;
-                            } else {
-                                continue;
-                            }
-                        }
-                        if !self.active_loads.contains(&seq) {
-                            self.active_loads.push(seq);
+                        let i = self.rob_get_mut(seq).expect("checked above");
+                        if i.op.op() == OpClass::Load && !i.at_cache {
+                            i.at_cache = true;
+                            self.push_active_load(seq);
                         }
                     }
                 }
@@ -173,8 +168,8 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                                 }
                                 _ => false,
                             };
-                            if newly && !self.active_loads.contains(&seq) {
-                                self.active_loads.push(seq);
+                            if newly {
+                                self.push_active_load(seq);
                             }
                         }
                     }
@@ -191,26 +186,17 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 }
                 Action::CacheData { seq } => {
                     let cycle = self.cycle;
-                    let (cluster, narrow, pc, has) = match self.rob_get(seq) {
-                        Some(i) => (i.cluster, i.op.is_narrow_result(), i.op.pc(), true),
-                        None => (0, false, 0, false),
+                    let Some(i) = self.rob_get_mut(seq) else {
+                        continue;
                     };
-                    if let Some(i) = self.rob_get(seq) {
-                        self.load_lat_sum += cycle.saturating_sub(i.issued_at);
-                        self.load_count += 1;
-                    }
-                    if has {
-                        if let Some(i) = self.rob_get_mut(seq) {
-                            i.phase = Phase::Done;
-                        }
-                        let v = self.values[seq as usize]
-                            .get_or_insert_with(|| ValueInfo::new(cluster, narrow, 0, pc));
-                        v.done_at = Some(cycle);
-                        let subs = self.slots.take_subscribers(seq);
-                        for c in subs.iter() {
-                            self.send_value_copy(seq, c, false);
-                        }
-                        self.wake_waiters(seq, cluster);
+                    let latency = cycle.saturating_sub(i.issued_at);
+                    i.phase = Phase::Done;
+                    let (cluster, dest) = (i.cluster, i.dest_value);
+                    self.load_lat_sum += latency;
+                    self.load_count += 1;
+                    // A load without a destination has no consumers.
+                    if let Some(v) = dest {
+                        self.publish(v, cluster);
                     }
                 }
                 Action::BranchSignal => {
@@ -279,9 +265,9 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             self.probe.complete(cycle, seq);
         }
         {
-            let (op, cluster, mispredict) = {
+            let (op, cluster, mispredict, dest) = {
                 let i = self.rob_get(seq).expect("in rob");
-                (i.op, i.cluster, i.mispredict)
+                (i.op, i.cluster, i.mispredict, i.dest_value)
             };
             match op.op() {
                 OpClass::Load => {
@@ -324,13 +310,8 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 _ => {
                     // ALU result: publish and notify subscribers.
                     self.rob_get_mut(seq).expect("in rob").phase = Phase::Done;
-                    if let Some(d) = op.dest() {
-                        self.value_mut(seq).expect("value registered").done_at = Some(cycle);
-                        let subs = self.slots.take_subscribers(seq);
-                        for c in subs.iter() {
-                            self.send_value_copy(seq, c, false);
-                        }
-                        self.wake_waiters(seq, cluster);
+                    if let (Some(v), Some(d)) = (dest, op.dest()) {
+                        self.publish(v, cluster);
                         // Integer results train the policy's width
                         // predictor (the detector sits next to the ALU).
                         if d.class() == RegClass::Int {
@@ -340,6 +321,26 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 }
             }
         }
+    }
+
+    /// Marks `v` produced this cycle in its home `cluster`: sends copies
+    /// to the subscribed clusters (in subscription order) and wakes the
+    /// home cluster's waiters.
+    fn publish(&mut self, v: ValueRef, cluster: usize) {
+        self.values.get_mut(v).done_at = Some(self.cycle);
+        let subs = self.values.take_subscribers(v);
+        for c in subs.iter() {
+            self.send_value_copy(v, c, false);
+        }
+        self.wake_waiters(v, cluster);
+    }
+
+    /// Registers a load that just reached the cache in the active list.
+    /// Called once per load, when its `at_cache` flag flips, so the list
+    /// never holds it already.
+    fn push_active_load(&mut self, seq: u64) {
+        debug_assert!(!self.active_loads.contains(&seq), "load {seq} active twice");
+        self.active_loads.push(seq);
     }
 
     /// Sends the (partial +) full address of a load/store to the LSQ.

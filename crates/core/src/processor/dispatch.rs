@@ -2,14 +2,12 @@
 //! cross-cluster operand copies/subscriptions and event-kernel readiness
 //! registration.
 
-use std::cmp::Reverse;
-
 use heterowire_interconnect::FaultModel;
 use heterowire_isa::{OpClass, RegClass};
 use heterowire_telemetry::Probe;
 
 use super::policy::TransferPolicy;
-use super::{Inflight, Phase, Processor, ValueInfo, FU_KINDS, NOT_SENT, NO_WAITER};
+use super::{Inflight, Phase, Processor, ValueInfo, ValueRef, FU_KINDS, NOT_SENT, NO_WAITER};
 use crate::steer::{ClusterView, ProducerInfo};
 
 impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
@@ -29,26 +27,25 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             // Gather producer info for steering.
             scratch.producers.clear();
             let mut src_producer = [None; 2];
-            let mut youngest_pending: Option<u64> = None;
+            let mut youngest_pending: Option<ValueRef> = None;
             for (s, slot) in op.src_slots().into_iter().enumerate() {
                 let Some(reg) = slot else { continue };
                 let p = self.rename[reg.flat_index()];
                 src_producer[s] = p;
                 if let Some(p) = p {
-                    if let Some(v) = self.value(p) {
-                        if v.done_at.is_none() && youngest_pending.map(|y| p > y).unwrap_or(true) {
-                            youngest_pending = Some(p);
-                        }
-                        scratch.producers.push(ProducerInfo {
-                            cluster: v.cluster,
-                            critical: false,
-                        });
+                    let v = self.values.get(p);
+                    if v.done_at.is_none() && youngest_pending.is_none_or(|y| p.seq > y.seq) {
+                        youngest_pending = Some(p);
                     }
+                    scratch.producers.push(ProducerInfo {
+                        cluster: v.cluster,
+                        critical: false,
+                    });
                 }
             }
             // Mark the youngest still-pending producer as critical.
             if let Some(y) = youngest_pending {
-                let yc = self.value(y).expect("pending producer").cluster;
+                let yc = self.values.get(y).cluster;
                 if let Some(pi) = scratch.producers.iter_mut().find(|pi| pi.cluster == yc) {
                     pi.critical = true;
                 }
@@ -109,28 +106,30 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             }
             let seq = op.seq();
             debug_assert_eq!(seq, self.rob_base + self.rob.len() as u64);
-            debug_assert_eq!(seq as usize, self.values.len(), "seqs are dense");
 
-            // Register the destination value (a slot exists for every
-            // dispatched op, `None` when there is no destination) and
-            // rename. The slot tables grow a row for every seq so their
-            // offsets stay seq-dense too.
-            self.values.push(
-                op.dest()
-                    .map(|_| ValueInfo::new(cluster, op.is_narrow_result(), op.result(), op.pc())),
-            );
-            self.slots.push_value();
-            if let Some(d) = op.dest() {
-                self.rename[d.flat_index()] = Some(seq);
-            }
+            // Register the destination value in a pool row and rename,
+            // remembering the value it displaces: that row is released
+            // when this op commits.
+            let mut displaced = None;
+            let dest_value = op.dest().map(|d| {
+                let v = self.values.alloc(ValueInfo::new(
+                    seq,
+                    cluster,
+                    op.is_narrow_result(),
+                    op.result(),
+                    op.pc(),
+                ));
+                displaced = self.rename[d.flat_index()].replace(v);
+                v
+            });
 
             // Cross-cluster operand copies / subscriptions.
             for &p in src_producer.iter().flatten() {
                 let (v_cluster, v_done) = {
-                    let v = self.value(p).expect("present");
+                    let v = self.values.get(p);
                     (v.cluster, v.done_at.is_some())
                 };
-                if v_cluster == cluster || self.slots.arrival(p, cluster) != NOT_SENT {
+                if v_cluster == cluster || self.values.arrival(p, cluster) != NOT_SENT {
                     continue;
                 }
                 if v_done {
@@ -139,12 +138,9 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                     // Remember whether this subscription is the consumer's
                     // last-arriving operand: the same criticality signal
                     // steering uses feeds the completion-time copy.
-                    self.slots.push_subscriber_unique(p, cluster);
+                    self.values.push_subscriber_unique(p, cluster);
                     if youngest_pending == Some(p) {
-                        self.value_mut(p)
-                            .expect("present")
-                            .critical_subs
-                            .insert(cluster);
+                        self.values.get_mut(p).critical_subs.insert(cluster);
                     }
                 }
             }
@@ -160,6 +156,8 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
                 cluster,
                 phase: Phase::Waiting,
                 src_producer,
+                dest_value,
+                displaced,
                 src_ready: [u64::MAX; 2],
                 mispredict: fetched.mispredicted,
                 dispatched_at: self.cycle,
@@ -196,7 +194,8 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             }
             self.rob_get_mut(seq).expect("just pushed").pending_srcs = pending;
             if pending == 0 {
-                self.ready_queues[cluster * FU_KINDS + op.op().unit().index()].push(Reverse(seq));
+                self.ready
+                    .push(cluster * FU_KINDS + op.op().unit().index(), seq);
             }
             // Store data operand (slot 1) feeds the data-send queue, not
             // the issue queue.

@@ -110,39 +110,38 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
 
     /// Event kernel: pops the oldest known-ready instruction per (cluster,
     /// FU kind) ready queue — exactly the instruction the reference scan
-    /// would pick — and schedules its completion on the wheel.
+    /// would pick — and schedules its completion on the wheel. Only
+    /// occupied queues are visited, in ascending `cluster * FU_KINDS +
+    /// kind` order (the reference scan's order).
     fn issue_event(&mut self) {
         let cycle = self.cycle;
-        for cluster in 0..self.clusters.len() {
-            for kind in 0..FU_KINDS {
-                if self.clusters[cluster].fu_free[kind] > cycle {
-                    continue;
-                }
-                let Some(Reverse(seq)) = self.ready_queues[cluster * FU_KINDS + kind].pop() else {
-                    continue;
-                };
-                let op = self.rob_get(seq).expect("ready instr in rob").op;
-                debug_assert_eq!(op.op().unit().index(), kind);
-                let latency = op.op().latency() as u64;
-                let cs = &mut self.clusters[cluster];
-                cs.fu_free[kind] = if op.op().pipelined() {
-                    cycle + 1
-                } else {
-                    cycle + latency
-                };
-                if op.op().is_fp() {
-                    cs.iq_fp_used = cs.iq_fp_used.saturating_sub(1);
-                } else {
-                    cs.iq_int_used = cs.iq_int_used.saturating_sub(1);
-                }
-                let inst = self.rob_get_mut(seq).expect("ready instr in rob");
-                inst.phase = Phase::Executing(cycle + latency);
-                inst.issued_at = cycle;
-                if P::ENABLED {
-                    self.probe.issue(cycle, seq, cluster);
-                }
-                self.wheel.schedule(cycle, cycle + latency, seq);
+        for idx in self.ready.occupied() {
+            let (cluster, kind) = (idx / FU_KINDS, idx % FU_KINDS);
+            if self.clusters[cluster].fu_free[kind] > cycle {
+                continue;
             }
+            let seq = self.ready.pop(idx).expect("occupied queue");
+            let op = self.rob_get(seq).expect("ready instr in rob").op;
+            debug_assert_eq!(op.op().unit().index(), kind);
+            let latency = op.op().latency() as u64;
+            let cs = &mut self.clusters[cluster];
+            cs.fu_free[kind] = if op.op().pipelined() {
+                cycle + 1
+            } else {
+                cycle + latency
+            };
+            if op.op().is_fp() {
+                cs.iq_fp_used = cs.iq_fp_used.saturating_sub(1);
+            } else {
+                cs.iq_int_used = cs.iq_int_used.saturating_sub(1);
+            }
+            let inst = self.rob_get_mut(seq).expect("ready instr in rob");
+            inst.phase = Phase::Executing(cycle + latency);
+            inst.issued_at = cycle;
+            if P::ENABLED {
+                self.probe.issue(cycle, seq, cluster);
+            }
+            self.wheel.schedule(cycle, cycle + latency, seq);
         }
     }
 
@@ -260,10 +259,7 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
         if let Some(c) = self.wheel.next_due() {
             next = next.min(c.max(soon));
         }
-        for (idx, q) in self.ready_queues.iter().enumerate() {
-            if q.is_empty() {
-                continue;
-            }
+        for idx in self.ready.occupied() {
             let fu_free = self.clusters[idx / FU_KINDS].fu_free[idx % FU_KINDS];
             next = next.min(fu_free.max(soon));
         }
@@ -319,9 +315,8 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             if P::ENABLED {
                 // Once per *executed* cycle — skipped idle cycles are not
                 // sampled, so histograms weight active cycles only.
-                let ready: usize = self.ready_queues.iter().map(|q| q.len()).sum();
                 self.probe
-                    .occupancy(self.cycle, self.rob.len(), self.lsq.len(), ready);
+                    .occupancy(self.cycle, self.rob.len(), self.lsq.len(), self.ready.len());
             }
 
             if !warm_done && self.committed >= warmup {

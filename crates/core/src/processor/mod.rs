@@ -23,16 +23,20 @@
 //!   [`TransferPolicy`] trait; [`PaperPolicy`] is the paper's policy and
 //!   the default, alternatives plug in via [`Processor::with_policy`];
 //! * the **structure layer** — the pipeline machinery is split into
-//!   focused submodules: [`mod@self`] (state), `rob` (ROB/value/waiter
-//!   bookkeeping and commit), `wheel` (completion wheel + deferred sends),
-//!   `dispatch`, `complete` (execution completion and all network sends),
-//!   `kernel` (the run loops).
+//!   focused submodules: [`mod@self`] (state), `slots` (the value pool:
+//!   per-value records and per-cluster slots, recycled like a physical
+//!   register file), `rob` (ROB/value/waiter bookkeeping and commit),
+//!   `ready` (per-(cluster, FU) ready queues with an occupancy mask),
+//!   `wheel` (completion wheel + deferred sends), `dispatch`, `complete`
+//!   (execution completion and all network sends), `kernel` (the run
+//!   loops).
 //!
 //! Two scheduling kernels drive the same per-cycle step functions:
 //!
 //! * the **event-driven kernel** ([`Processor::run`]) — a completion wheel
 //!   pops instructions the cycle they finish executing, wakeup lists feed
-//!   per-(cluster, FU) ready queues so issue never scans the ROB, store
+//!   per-(cluster, FU) ready queues so issue never scans the ROB (and an
+//!   occupancy mask lets it skip the empty queues), store
 //!   data is sent by subscription, and the loop jumps over cycles in which
 //!   provably nothing can happen;
 //! * the **cycle-driven reference kernel** ([`Processor::run_reference`]) —
@@ -44,6 +48,7 @@ mod dispatch;
 mod kernel;
 pub mod policies;
 pub mod policy;
+mod ready;
 mod rob;
 mod slots;
 #[cfg(test)]
@@ -53,8 +58,8 @@ mod wheel;
 pub use policies::{CriticalityPolicy, OraclePolicy, PwFirstPolicy};
 pub use policy::{PaperPolicy, SprayPolicy, TransferPolicy};
 
-use crate::mask::ClusterMask;
-use slots::ValueSlots;
+use ready::ReadyQueues;
+use slots::{ValueInfo, ValuePool, ValueRef};
 
 use std::cmp::Reverse;
 use std::sync::Arc;
@@ -63,7 +68,7 @@ use heterowire_frontend::FetchEngine;
 use heterowire_interconnect::{FaultModel, NullFaultModel};
 use heterowire_interconnect::{NetConfig, Topology, Transfer};
 use heterowire_interconnect::{Network, TransferId};
-use heterowire_isa::MicroOp;
+use heterowire_isa::{ArchReg, MicroOp};
 use heterowire_memory::{LoadStoreQueue, LsqRef, MemConfig, MemoryHierarchy};
 use heterowire_telemetry::{NullProbe, Probe};
 use heterowire_trace::TraceGenerator;
@@ -93,8 +98,14 @@ struct Inflight {
     op: MicroOp,
     cluster: usize,
     phase: Phase,
-    /// Producer seq per source (`None` = architected state, always ready).
-    src_producer: [Option<u64>; 2],
+    /// Producer value per source (`None` = architected state, always
+    /// ready).
+    src_producer: [Option<ValueRef>; 2],
+    /// This op's own destination value, if it writes a register.
+    dest_value: Option<ValueRef>,
+    /// The value this op's destination displaced from the rename map; its
+    /// pool row is released when this op commits (DESIGN.md §13).
+    displaced: Option<ValueRef>,
     /// Cached cycle each source becomes ready in this cluster
     /// (`u64::MAX` = not yet known).
     src_ready: [u64; 2],
@@ -148,45 +159,19 @@ const NOT_SENT: u64 = u64::MAX;
 /// Arrival-slot sentinel: a copy is in flight, arrival cycle unknown.
 const IN_FLIGHT: u64 = u64::MAX - 1;
 
-#[derive(Debug, Clone)]
-struct ValueInfo {
-    cluster: usize,
-    done_at: Option<u64>,
-    narrow: bool,
-    value: u64,
-    pc: u64,
-    /// Subscribed clusters whose consumer marked this producer as its
-    /// last-arriving (youngest still-pending) operand at dispatch — the
-    /// criticality signal completion-time copies hand to the policy.
-    /// Per-cluster arrival cycles, waiter-list heads and the ordered
-    /// subscriber list live in the processor-owned [`ValueSlots`] table,
-    /// whose row width is the machine's cluster count.
-    critical_subs: ClusterMask,
-}
-
-impl ValueInfo {
-    fn new(cluster: usize, narrow: bool, value: u64, pc: u64) -> Self {
-        ValueInfo {
-            cluster,
-            done_at: None,
-            narrow,
-            value,
-            pc,
-            critical_subs: ClusterMask::EMPTY,
-        }
-    }
-}
-
 /// What to do when a network transfer is delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Action {
-    ValueArrive { producer: u64, cluster: usize },
+    ValueArrive { producer: ValueRef, cluster: u32 },
     PartialAddr { seq: u64 },
     FullAddr { seq: u64 },
     StoreData { seq: u64 },
     CacheData { seq: u64 },
     BranchSignal,
 }
+// One entry per transfer ever sent: carrying the pool row next to the
+// producer's seq must not widen the table.
+const _: () = assert!(std::mem::size_of::<Action>() <= 24);
 
 #[derive(Debug, Clone, Copy)]
 struct ClusterState {
@@ -249,14 +234,13 @@ pub struct Processor<
     rob: std::collections::VecDeque<Inflight>,
     rob_base: u64, // seq of rob[0]
     clusters: Vec<ClusterState>,
-    /// Destination-value bookkeeping, indexed directly by seq (seqs are
-    /// dense from 0; `None` for ops without a destination).
-    values: Vec<Option<ValueInfo>>,
-    /// Per-value, per-cluster slot tables (arrivals / waiters /
-    /// subscribers), rows sized to the machine's cluster count and pushed
-    /// in lockstep with `values`.
-    slots: ValueSlots,
-    rename: [Option<u64>; 64],
+    /// Destination values in flight (records plus per-cluster arrival /
+    /// waiter / subscriber slots), one pool row per value, recycled when
+    /// the next writer of the same register commits.
+    values: ValuePool,
+    /// Current value of each architectural register (`None` = state
+    /// predating the window, available everywhere).
+    rename: [Option<ValueRef>; ArchReg::total()],
     /// Delivery action per transfer, indexed by `TransferId` (ids are
     /// assigned densely in send order).
     actions: Vec<Action>,
@@ -271,9 +255,8 @@ pub struct Processor<
     // completion paths in both kernels; only the event kernel consumes
     // them. The wheel is fed by `issue_event` alone.
     wheel: CompletionWheel,
-    /// Min-heap of known-ready waiting instructions per (cluster, FU kind),
-    /// indexed `cluster * FU_KINDS + kind`.
-    ready_queues: Vec<std::collections::BinaryHeap<Reverse<u64>>>,
+    /// Known-ready waiting instructions per (cluster, FU kind).
+    ready: ReadyQueues,
     /// Stores whose data operand became ready (drained in seq order).
     store_data_pending: Vec<u32>,
     /// A store committed this cycle: LSQ disambiguation of waiting loads
@@ -425,17 +408,14 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             rob: std::collections::VecDeque::with_capacity(config.rob_size),
             rob_base: 0,
             clusters: vec![ClusterState::new(); n],
-            values: Vec::new(),
-            slots: ValueSlots::new(n),
-            rename: [None; 64],
+            values: ValuePool::new(n, config.rob_size + ArchReg::total()),
+            rename: [None; ArchReg::total()],
             actions: Vec::new(),
             deferred: std::collections::BinaryHeap::new(),
             deferred_seq: 0,
             active_loads: Vec::new(),
             wheel: CompletionWheel::new(),
-            ready_queues: (0..n * FU_KINDS)
-                .map(|_| std::collections::BinaryHeap::new())
-                .collect(),
+            ready: ReadyQueues::new(n),
             store_data_pending: Vec::new(),
             retired_store: false,
             scratch: DispatchScratch::default(),

@@ -1,18 +1,18 @@
 //! ROB, value and waiter-list bookkeeping, and commit.
 //!
 //! The ROB is a dense `VecDeque` indexed by `seq - rob_base`; value
-//! records live in a seq-indexed vector so the rename/dispatch path never
-//! hashes. Waiter lists are intrusive singly-linked lists threaded through
-//! the [`Inflight`] entries (see [`super`] for the node encoding).
-
-use std::cmp::Reverse;
+//! records live in the value pool (`slots.rs`), reached through the
+//! [`ValueRef`] handles the rename map and ROB entries carry, so the
+//! rename/dispatch path never hashes. Waiter lists are intrusive
+//! singly-linked lists threaded through the [`Inflight`] entries (see
+//! [`super`] for the node encoding).
 
 use heterowire_interconnect::FaultModel;
 use heterowire_isa::{OpClass, RegClass};
 use heterowire_telemetry::Probe;
 
 use super::policy::TransferPolicy;
-use super::{Inflight, Phase, Processor, ValueInfo, FU_KINDS, IN_FLIGHT, NO_WAITER};
+use super::{Inflight, Phase, Processor, ValueRef, FU_KINDS, IN_FLIGHT, NO_WAITER};
 
 impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
     pub(super) fn rob_get(&self, seq: u64) -> Option<&Inflight> {
@@ -29,23 +29,13 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
         self.rob.get_mut((seq - self.rob_base) as usize)
     }
 
-    /// The value record for `producer`, if one was registered.
-    pub(super) fn value(&self, producer: u64) -> Option<&ValueInfo> {
-        self.values.get(producer as usize)?.as_ref()
-    }
-
-    pub(super) fn value_mut(&mut self, producer: u64) -> Option<&mut ValueInfo> {
-        self.values.get_mut(producer as usize)?.as_mut()
-    }
-
-    /// Cycle the value produced by `producer` is usable in `cluster`, if
-    /// known yet.
-    pub(super) fn value_ready_in(&self, producer: u64, cluster: usize) -> Option<u64> {
-        let v = self.value(producer)?;
+    /// Cycle the value `producer` is usable in `cluster`, if known yet.
+    pub(super) fn value_ready_in(&self, producer: ValueRef, cluster: usize) -> Option<u64> {
+        let v = self.values.get(producer);
         if v.cluster == cluster {
             v.done_at
         } else {
-            let arrival = self.slots.arrival(producer, cluster);
+            let arrival = self.values.arrival(producer, cluster);
             (arrival < IN_FLIGHT).then_some(arrival)
         }
     }
@@ -53,11 +43,16 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
     /// Links `seq`'s source `slot` into `producer`'s waiter list for
     /// `cluster`; [`Processor::wake_waiters`] unlinks it when the value
     /// becomes usable there.
-    pub(super) fn register_waiter(&mut self, producer: u64, cluster: usize, seq: u64, slot: usize) {
+    pub(super) fn register_waiter(
+        &mut self,
+        producer: ValueRef,
+        cluster: usize,
+        seq: u64,
+        slot: usize,
+    ) {
         debug_assert!(seq < (1 << 31), "waiter seqs must fit 31 bits");
         let node = ((seq as u32) << 1) | slot as u32;
-        debug_assert!(self.value(producer).is_some(), "producer value present");
-        let head = self.slots.replace_waiter(producer, cluster, node);
+        let head = self.values.replace_waiter(producer, cluster, node);
         self.rob_get_mut(seq).expect("waiter in rob").waiter_next[slot] = head;
     }
 
@@ -66,11 +61,8 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
     /// the instruction on its ready queue), store-data operands enqueue the
     /// store for a data send. Wake order within one event is irrelevant —
     /// both queues restore seq order before use.
-    pub(super) fn wake_waiters(&mut self, producer: u64, cluster: usize) {
-        if self.value(producer).is_none() {
-            return;
-        }
-        let mut node = self.slots.replace_waiter(producer, cluster, NO_WAITER);
+    pub(super) fn wake_waiters(&mut self, producer: ValueRef, cluster: usize) {
+        let mut node = self.values.replace_waiter(producer, cluster, NO_WAITER);
         while node != NO_WAITER {
             let seq = u64::from(node >> 1);
             let slot = (node & 1) as usize;
@@ -89,7 +81,7 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             if store_data {
                 self.store_data_pending.push(seq as u32);
             } else if ready {
-                self.ready_queues[rq].push(Reverse(seq));
+                self.ready.push(rq, seq);
             }
         }
     }
@@ -111,6 +103,12 @@ impl<P: Probe, T: TransferPolicy, F: FaultModel> Processor<P, T, F> {
             self.committed += 1;
             if P::ENABLED {
                 self.probe.commit(cycle, seq);
+            }
+            // This op's value displaced the previous writer's: that value's
+            // consumers all dispatched earlier and have committed, so its
+            // pool row is free (the physical-register-file rule).
+            if let Some(old) = inst.displaced {
+                self.values.release(old);
             }
             let cs = &mut self.clusters[inst.cluster];
             if let Some(d) = inst.op.dest() {

@@ -313,6 +313,27 @@ mod mechanism_tests {
     }
 
     #[test]
+    fn value_pool_is_bounded_by_the_register_file_rule() {
+        // Rows are recycled when the next writer of the same register
+        // commits, so live values never exceed `rob_size +
+        // ArchReg::total()`: a run ten times longer hands out rows only up
+        // to that bound, and the pool's tables keep the capacity they
+        // reserved at construction (they never reallocate).
+        let cfg = ProcessorConfig::for_model(InterconnectModel::X, Topology::hier_ring(16, 4));
+        let bound = cfg.rob_size + ArchReg::total();
+        let rows = |window: u64| {
+            let trace = TraceGenerator::new(profile::by_name("gcc").unwrap(), 11);
+            let mut p = Processor::new(cfg.clone(), trace);
+            p.run(window, 500);
+            assert_eq!(p.values.reserved_rows(), bound, "value pool reallocated");
+            p.values.rows()
+        };
+        let (short, long) = (rows(4_000), rows(40_000));
+        assert!(short <= long, "{short} rows, then {long}");
+        assert!(long <= bound, "{long} rows > bound {bound}");
+    }
+
+    #[test]
     fn narrower_dispatch_hurts() {
         let mut narrow_cfg =
             ProcessorConfig::for_model(InterconnectModel::I, Topology::crossbar4());

@@ -433,8 +433,10 @@ impl<F: FaultModel> Network<F> {
             );
         }
 
-        // Resolve every (src, dst, class) route once. The wheel horizon is
-        // the longest base latency plus the worst-case serialization tail.
+        // Resolve every (src, dst) path once and derive its four class
+        // entries: links and hops do not depend on the class, only the
+        // latency does. The wheel horizon is the longest base latency
+        // plus the worst-case serialization tail.
         let clusters = config.topology.clusters();
         let nodes = clusters + 1;
         let mut routes = vec![EMPTY_ROUTE; nodes * nodes * 4];
@@ -447,18 +449,20 @@ impl<F: FaultModel> Network<F> {
                 }
                 let src = node_of(si, clusters);
                 let dst = node_of(di, clusters);
+                let r = config.topology.route_inline(src, dst, WireClass::B);
+                let mut links = [0u16; MAX_ROUTE_LINKS];
+                for (slot, &l) in links.iter_mut().zip(r.links()) {
+                    *slot = config.topology.link_slot(l) as u16;
+                }
+                let segments = u64::from(r.hops - 1);
                 for (ci, &class) in WireClass::ALL.iter().enumerate() {
-                    let r = config.topology.route_inline(src, dst, class);
                     let scale = if config.transmission_line_l && class == WireClass::L {
                         1.0
                     } else {
                         config.latency_scale
                     };
-                    let base = ((r.latency as f64) * scale).round() as u64;
-                    let mut links = [0u16; MAX_ROUTE_LINKS];
-                    for (slot, &l) in links.iter_mut().zip(r.links()) {
-                        *slot = config.topology.link_slot(l) as u16;
-                    }
+                    let latency = config.topology.route_latency(class, segments);
+                    let base = ((latency as f64) * scale).round() as u64;
                     routes[(si * nodes + di) * 4 + ci] = CachedRoute {
                         links,
                         nlinks: r.links().len() as u8,
@@ -1069,6 +1073,54 @@ mod tests {
             } else {
                 MessageKind::RegisterValue
             },
+        }
+    }
+
+    /// The route table resolves each (src, dst) path once and derives the
+    /// per-class entries; every entry must equal a direct per-class
+    /// `route_inline` resolution, scaled the way the constructor scales.
+    #[test]
+    fn cached_routes_match_route_inline_for_every_class() {
+        let topologies = [
+            Topology::crossbar4(),
+            Topology::hier16(),
+            Topology::crossbar(64),
+            Topology::hier_ring(16, 4),
+            Topology::hier_ring(5, 3).with_segment_lengths(2, 3),
+        ];
+        for topology in topologies {
+            for (scale, tl) in [(1.0, false), (2.0, false), (1.5, true)] {
+                let mut config = NetConfig::new(topology, b_l_link());
+                config.latency_scale = scale;
+                config.transmission_line_l = tl;
+                let n = Network::new(config);
+                let nodes = topology.clusters() + 1;
+                for si in 0..nodes {
+                    for di in (0..nodes).filter(|&di| di != si) {
+                        let src = node_of(si, topology.clusters());
+                        let dst = node_of(di, topology.clusters());
+                        for (ci, &class) in WireClass::ALL.iter().enumerate() {
+                            let r = topology.route_inline(src, dst, class);
+                            let s = if tl && class == WireClass::L {
+                                1.0
+                            } else {
+                                scale
+                            };
+                            let cached = n.routes[(si * nodes + di) * 4 + ci];
+                            let slots: Vec<u16> = r
+                                .links()
+                                .iter()
+                                .map(|&l| topology.link_slot(l) as u16)
+                                .collect();
+                            let at = format!("{topology:?} {src:?}->{dst:?} {class} x{scale}");
+                            assert_eq!(&cached.links[..cached.nlinks as usize], &slots[..], "{at}");
+                            assert_eq!(cached.hops, r.hops, "{at}");
+                            let base = ((r.latency as f64) * s).round() as u64;
+                            assert_eq!(cached.base_latency, base, "{at}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -460,8 +460,6 @@ impl Topology {
     /// [`MAX_ROUTE_LINKS`]).
     pub fn route_inline(&self, src: Node, dst: Node, class: WireClass) -> InlineRoute {
         assert!(src != dst, "no self-transfers on the network");
-        let xbar = segment_latency(class, self.xbar_len);
-        let ring = segment_latency(class, self.hop_len);
 
         let mut links = [LinkId::CacheOut; MAX_ROUTE_LINKS];
         let mut len = 0usize;
@@ -510,9 +508,16 @@ impl Topology {
         InlineRoute {
             links,
             len: len as u8,
-            latency: xbar + ring * segments,
+            latency: self.route_latency(class, segments),
             hops: 1 + segments as u32,
         }
+    }
+
+    /// Latency on `class` wires of a route crossing one crossbar and
+    /// `segments` ring segments — the only part of a route that depends
+    /// on the wire class (its links and hops do not).
+    pub(crate) fn route_latency(&self, class: WireClass, segments: u64) -> u64 {
+        segment_latency(class, self.xbar_len) + segment_latency(class, self.hop_len) * segments
     }
 
     /// Computes the route from `src` to `dst` for a transfer on `class`

@@ -3,10 +3,12 @@
 //! A counting global allocator measures how many heap allocations two
 //! simulations of different window lengths perform. In steady state the
 //! per-cycle machinery (dispatch, issue, steering, network send/deliver)
-//! must allocate nothing; the only growth with window length comes from
-//! amortised doubling of the seq-indexed value/action tables. The delta
-//! between the two runs must therefore stay far below one allocation per
-//! extra instruction.
+//! must allocate nothing. The value pool reserves its bound (`rob_size`
+//! plus one row per architectural register) at construction and recycles
+//! rows as registers are overwritten, so it no longer grows with the run;
+//! the only table still growing with window length is the per-transfer
+//! action table, by amortised doubling. The delta between the two runs
+//! must therefore stay far below one allocation per extra instruction.
 //!
 //! This file deliberately holds a single test: the counter is global to
 //! the process, and a dedicated integration-test binary keeps other tests
@@ -73,7 +75,7 @@ fn simulator_steady_state_is_allocation_free() {
         let delta = large.saturating_sub(small);
         // 12 000 extra instructions. Before the de-allocation pass the
         // simulator allocated several Vecs per instruction (>36 000 here);
-        // now only table doubling and rare cold paths remain.
+        // now only action-table doubling and rare cold paths remain.
         assert!(
             delta < 2_000,
             "hot path allocates on {topology:?}: {delta} extra allocations \
@@ -82,16 +84,15 @@ fn simulator_steady_state_is_allocation_free() {
         );
     }
 
-    // Wide topologies (past the old 16-cluster wall) use the same flat
-    // slot tables with a bigger stride, so they are held to the same
-    // budget: growth is amortised table doubling only, never per-value or
-    // per-cycle allocation.
+    // Wide topologies (past the old 16-cluster wall) use the same value
+    // pool with a bigger stride, so they are held to the same budget:
+    // never per-value or per-cycle allocation.
     for topology in [Topology::crossbar(32), Topology::hier_ring(16, 4)] {
         let small = allocs_for(topology, 4_000);
         let large = allocs_for(topology, 16_000);
         let delta = large.saturating_sub(small);
-        // Measured ~330 on both wide shapes (the earlier boxed-slice spill
-        // design cost ~28 000 here — three allocations per value).
+        // Measured ~310-335 on both wide shapes (the earlier boxed-slice
+        // spill design cost ~28 000 here — three allocations per value).
         assert!(
             delta < 2_000,
             "wide slot tables allocate per value on {topology:?}: {delta} \

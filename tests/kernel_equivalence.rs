@@ -7,14 +7,19 @@
 //! 16-cluster crossbar-of-rings at quick scale; benchmarks rotate across
 //! models so the suite's workload variety (FP-heavy, memory-bound,
 //! branchy) is covered without running the full 230-run sweep twice in a
-//! debug build.
+//! debug build. The same holds with wire faults injected, for every
+//! steering policy, on the 64-cluster ring.
 
-use heterowire_bench::{RunScale, SEED};
+use std::sync::Arc;
+
+use heterowire_bench::{degraded_config, RunScale, SEED};
 use heterowire_core::{
-    InterconnectModel, Processor, ProcessorConfig, RecordingConfig, RecordingProbe,
+    CriticalityPolicy, FaultSpec, InterconnectModel, ModelSpec, NullProbe, OraclePolicy,
+    PaperPolicy, Processor, ProcessorConfig, PwFirstPolicy, RecordingConfig, RecordingProbe,
+    SprayPolicy, TransferPolicy,
 };
 use heterowire_interconnect::Topology;
-use heterowire_trace::{spec2000, TraceGenerator};
+use heterowire_trace::{spec2000, BenchmarkProfile, TraceGenerator};
 
 fn assert_kernels_match(topology: Topology, scale: RunScale) {
     let profiles = spec2000();
@@ -51,6 +56,68 @@ fn event_kernel_matches_reference_on_hier16_ring() {
 #[test]
 fn event_kernel_matches_reference_on_wide_ring16x4() {
     assert_kernels_match(Topology::hier_ring(16, 4), RunScale::quick());
+}
+
+/// Runs one profile under `spec`'s injector on both kernels with a fresh
+/// `policy()` each, and requires identical results (neither may stall).
+fn assert_fault_kernels_match<T: TransferPolicy>(
+    config: &Arc<ProcessorConfig>,
+    spec: &FaultSpec,
+    profile: BenchmarkProfile,
+    policy: impl Fn() -> T,
+) {
+    let (window, warmup) = (8_000, 500);
+    let build = || {
+        Processor::with_faults_shared(
+            Arc::clone(config),
+            TraceGenerator::new(profile, SEED),
+            NullProbe,
+            policy(),
+            spec.injector(),
+        )
+    };
+    let event = build()
+        .try_run(window, warmup)
+        .expect("event kernel stalled");
+    let reference = build()
+        .try_run_reference(window, warmup)
+        .expect("reference kernel stalled");
+    assert!(
+        event.net.retransmits > 0,
+        "no fault fired ({})",
+        profile.name
+    );
+    assert_eq!(
+        event,
+        reference,
+        "kernels diverge under faults for {} ({})",
+        std::any::type_name::<T>(),
+        profile.name
+    );
+}
+
+/// The fault path (corruption draws, NACKs, retransmits, B escalation and
+/// a stuck L lane) must not split the kernels either: the 64-cluster ring
+/// under the fault benchmark's spec, all five steering policies, each on
+/// a different profile.
+#[test]
+fn event_kernel_matches_reference_under_faults_on_ring16x4() {
+    let spec = FaultSpec::parse("l@1e-3+b@1e-5+lane:L1@stuck+seed:1").expect("valid spec");
+    let model = ModelSpec::parse("X").expect("Model X is a preset");
+    let config = Arc::new(
+        degraded_config(&model, Topology::hier_ring(16, 4), Some(&spec)).expect("degradable"),
+    );
+    let profiles = spec2000();
+    let profile = |i: usize| profiles[(i * 5 + 3) % profiles.len()];
+    assert_fault_kernels_match(&config, &spec, profile(0), || PaperPolicy::new(&config));
+    assert_fault_kernels_match(&config, &spec, profile(1), || {
+        SprayPolicy::new(&config.link)
+    });
+    assert_fault_kernels_match(&config, &spec, profile(2), || {
+        CriticalityPolicy::new(&config)
+    });
+    assert_fault_kernels_match(&config, &spec, profile(3), || PwFirstPolicy::new(&config));
+    assert_fault_kernels_match(&config, &spec, profile(4), || OraclePolicy::new(&config));
 }
 
 /// Recording must be pure observation: a run with a live [`RecordingProbe`]
